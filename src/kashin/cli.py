@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import conversion, formats, frames, linalg, quantize, uncertainty
-from .errors import FormatError, KashinError
+from .errors import FormatError, InvalidParams, KashinError
 
 _FAMILY_FLAGS = {
     "orthogonal": frames.RANDOM_ORTHOGONAL,
@@ -221,6 +221,8 @@ def _cmd_decode(args) -> int:
 def _cmd_quantize(args) -> int:
     rep = formats.read_representation(args.infile)
     complex_mode = not args.real
+    if args.real and quantize.has_imaginary_mass(rep.coefficients, rep.input_norm):
+        raise InvalidParams("--real would drop the coefficients' imaginary parts")
     spec = quantize.QuantizerSpec.from_representation(
         rep, args.levels, complex_mode=complex_mode
     )
@@ -252,11 +254,9 @@ def _cmd_simulate(args) -> int:
         frame, args.eta, args.delta, args.iters, None, False, None
     )
     rep = conversion.kashin_encode(frame, x, cfg)
-    complex_mode = bool(
-        np.max(np.abs(rep.coefficients.imag)) > 1e-12 * max(rep.input_norm, 1.0)
-    )
     spec = quantize.QuantizerSpec.from_representation(
-        rep, args.levels, complex_mode=complex_mode
+        rep, args.levels,
+        complex_mode=quantize.has_imaginary_mass(rep.coefficients, rep.input_norm),
     )
     flips = args.flips
     if flips is None:

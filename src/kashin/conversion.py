@@ -196,16 +196,6 @@ def truncate_scalar(z: complex, M: float) -> complex:
     return M * default_scalar_map(z / M)
 
 
-def approx_truncate_scalar(z: complex, M: float, nu: float, tau: float) -> complex:
-    """Built-in approximate clip of ``z`` at scale M with parameters
-    (nu, tau): ``M * t(z/M)`` for the default map."""
-    if not M > 0.0:
-        raise InvalidParams(f"clip level must be positive, got {M}")
-    if not 0.0 < nu < 1.0 or not 0.0 < tau < 1.0:
-        raise InvalidParams("nu and tau must lie in (0, 1)")
-    return M * default_scalar_map(z / M)
-
-
 def _truncate_block(b: np.ndarray, M: float, spec: TruncationSpec) -> np.ndarray:
     if spec.mode == APPROXIMATE and spec.scalar_map is not None:
         return np.array(
@@ -305,7 +295,8 @@ def kashin_encode(
     defect), and both the certified level and residual bound account for
     it.  Raises :class:`NonConvergence` when a measured per-pass
     contraction exceeds eta' + 0.05 — the supplied (eta, delta) do not
-    hold for this frame.
+    hold for this frame — and :class:`InvalidParams` when the norm of a
+    finite input exceeds the float64 range.
     """
     v = linalg.as_vector(x)
     if v.shape[0] != f.n:
@@ -326,6 +317,8 @@ def kashin_encode(
             cfg.truncation.scalar_map, cfg.truncation.nu, cfg.truncation.tau
         )
     norm = linalg.norm2(v)
+    if not math.isfinite(norm):
+        raise InvalidParams("input norm exceeds the float64 range")
     if norm == 0.0:
         return _zero_representation(f.N, level)
     if cfg.iterations is not None:

@@ -87,18 +87,26 @@ def _eps_from_matrix(u: np.ndarray) -> float:
     return float(max(1.0 - s.min(), s.max() - 1.0))
 
 
-def _dft_rows(N: int, rows: np.ndarray) -> np.ndarray:
-    k = np.arange(N)
-    return np.exp((-2j * np.pi / N) * np.outer(rows, k)) / np.sqrt(N)
+def columns(frame: FrameMatrix, support) -> np.ndarray:
+    """The (n, k) matrix of frame vectors listed in ``support``.
+
+    Partial Fourier frames build only the requested columns, entry
+    ``exp(-2 pi i (w * j mod N) / N) / sqrt(N)`` for row ``w`` and column
+    ``j``; reducing ``w * j`` mod N keeps the phase argument below 2 pi,
+    so its rounding does not grow with N.
+    """
+    support = np.asarray(support, dtype=np.int64)
+    if frame.kind == DENSE:
+        return frame.matrix[:, support]
+    phase = np.outer(frame.omega, support) % frame.N
+    return np.exp((-2j * np.pi / frame.N) * phase) / np.sqrt(frame.N)
 
 
 def dense(frame: FrameMatrix) -> np.ndarray:
     """The materialized (n, N) frame matrix."""
-    if frame.kind == DENSE:
-        return frame.matrix
-    if frame.n * frame.N > _DENSE_CAP:
+    if frame.kind == PARTIAL_FOURIER and frame.n * frame.N > _DENSE_CAP:
         raise InvalidParams(f"refusing to materialize a {frame.n}x{frame.N} frame")
-    return _dft_rows(frame.N, frame.omega)
+    return columns(frame, np.arange(frame.N))
 
 
 def measure_tightness(frame: FrameMatrix) -> float:
@@ -106,12 +114,12 @@ def measure_tightness(frame: FrameMatrix) -> float:
 
     Returns ``max(1 - sigma_min, sigma_max - 1)``, which is 0 exactly when
     the rows are orthonormal.  DFT row selections are orthonormal by
-    construction, so oversized partial Fourier frames short-circuit to 0
-    instead of materializing.
+    construction, so partial Fourier frames record 0 at every size
+    without materializing.
     """
-    if frame.kind == PARTIAL_FOURIER and frame.n * frame.N > _DENSE_CAP:
+    if frame.kind == PARTIAL_FOURIER:
         return 0.0
-    return _eps_from_matrix(dense(frame))
+    return _eps_from_matrix(frame.matrix)
 
 
 def gen_random_orthogonal(n: int, N: int, seed: int) -> FrameMatrix:
@@ -148,12 +156,7 @@ def gen_partial_fourier(
         omega = np.sort(g.permutation(N)[:n]).astype(np.int64)
     else:
         raise InvalidParams(f"unknown selection mode {mode!r}")
-    eps = 0.0
-    if omega.size * N <= _DENSE_CAP:
-        eps = _eps_from_matrix(_dft_rows(N, omega))
-    return FrameMatrix(
-        n=int(omega.size), N=N, kind=PARTIAL_FOURIER, omega=omega, tightness_eps=eps
-    )
+    return FrameMatrix(n=int(omega.size), N=N, kind=PARTIAL_FOURIER, omega=omega)
 
 
 def gen_subgaussian(n: int, N: int, dist: str, seed: int) -> FrameMatrix:
@@ -193,7 +196,7 @@ def analysis(frame: FrameMatrix, x) -> np.ndarray:
     if v.shape[0] != frame.n:
         raise DimensionMismatch(f"frame lives in C^{frame.n}, vector has length {v.shape[0]}")
     if frame.kind == DENSE:
-        return frame.matrix.conj().T @ v
+        return (v.conj() @ frame.matrix).conj()
     z = np.zeros(frame.N, dtype=np.complex128)
     z[frame.omega] = v
     return linalg.idft(z)

@@ -1,9 +1,8 @@
 """Complex linear-algebra kernels shared by the rest of the package.
 
-Provides the unitary discrete Fourier transform (radix-2 fast path for
-power-of-two lengths, direct evaluation otherwise), row orthonormalization
-with a fixed sign convention, seeded matrix sampling, and small vector
-helpers with strict shape checking.
+Provides the unitary discrete Fourier transform (numpy's FFT at every
+length), row orthonormalization with a fixed sign convention, seeded matrix
+sampling, and small vector helpers with strict shape checking.
 
 Randomness policy: every sampler takes an unsigned 64-bit seed and feeds it
 to numpy's default PCG64 generator via :func:`rng_from_seed`.  The generator
@@ -13,13 +12,13 @@ bit-identical results across runs and platforms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, RankDeficient
 
 _RANK_TOL = 1e-12
-# bound the scratch used by the direct O(N^2) transform
-_DIRECT_CHUNK = 1 << 21
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -50,74 +49,18 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _is_pow2(n: int) -> bool:
-    return n & (n - 1) == 0
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    """Bit-reversed index permutation for n = 2**k."""
-    stages = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros_like(idx)
-    for _ in range(stages):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time transform, no normalization."""
-    n = x.shape[0]
-    if n == 1:
-        return x.copy()
-    out = x[_bit_reversal(n)]
-    half = 1
-    while half < n:
-        twiddle = np.exp((-1j * np.pi / half) * np.arange(half))
-        blocks = out.reshape(-1, 2 * half)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * twiddle
-        out = np.hstack((even + odd, even - odd)).reshape(-1)
-        half *= 2
-    return out
-
-
-def _dft_direct(x: np.ndarray, sign: float) -> np.ndarray:
-    """Dense O(N^2) transform, evaluated in row chunks to bound memory."""
-    n = x.shape[0]
-    cols = np.arange(n)
-    out = np.empty(n, dtype=np.complex128)
-    step = max(1, _DIRECT_CHUNK // n)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        out[lo : lo + rows.shape[0]] = (
-            np.exp((sign * 2j * np.pi / n) * np.outer(rows, cols)) @ x
-        )
-    return out
-
-
 def dft(x) -> np.ndarray:
     """Unitary discrete Fourier transform.
 
     Entry ``j`` of the result equals ``sum_k x_k exp(-2 pi i j k / N) /
-    sqrt(N)``.  Power-of-two lengths take the radix-2 fast path; every other
-    length falls back to the direct dense evaluation.
+    sqrt(N)``, computed by numpy's FFT at every length.
     """
-    v = as_vector(x)
-    n = v.shape[0]
-    y = _fft_pow2(v) if _is_pow2(n) else _dft_direct(v, -1.0)
-    return y / np.sqrt(n)
+    return np.fft.fft(as_vector(x), norm="ortho")
 
 
 def idft(y) -> np.ndarray:
     """Inverse unitary transform, the exact adjoint of :func:`dft`."""
-    v = as_vector(y)
-    n = v.shape[0]
-    if _is_pow2(n):
-        out = np.conj(_fft_pow2(np.conj(v)))
-    else:
-        out = _dft_direct(v, +1.0)
-    return out / np.sqrt(n)
+    return np.fft.ifft(as_vector(y), norm="ortho")
 
 
 def qr_orthonormalize_rows(m) -> np.ndarray:
@@ -171,33 +114,16 @@ def sample_bernoulli(rows: int, cols: int, seed: int) -> np.ndarray:
     return (2.0 * signs - 1.0).astype(np.complex128)
 
 
-def matvec(m, x) -> np.ndarray:
-    a = as_matrix(m)
-    v = as_vector(x)
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"cannot apply {a.shape} to a length-{v.shape[0]} vector")
-    return a @ v
-
-
-def adjoint_matvec(m, y) -> np.ndarray:
-    a = as_matrix(m)
-    v = as_vector(y)
-    if a.shape[0] != v.shape[0]:
-        raise DimensionMismatch(
-            f"cannot apply the adjoint of {a.shape} to a length-{v.shape[0]} vector"
-        )
-    return a.conj().T @ v
-
-
 def norm2(x) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(as_vector(x)))
+    """Euclidean norm.
 
-
-def inner(x, y) -> complex:
-    """Inner product ``sum_i x_i * conj(y_i)`` (conjugation on the second slot)."""
-    a = as_vector(x)
-    b = as_vector(y)
-    if a.shape != b.shape:
-        raise DimensionMismatch("inner product needs equal-length vectors")
-    return complex(np.vdot(b, a))
+    Components are divided by the largest real or imaginary magnitude
+    before squaring, so a finite vector never overflows on the way; the
+    result is ``inf`` only when the norm itself exceeds the float64 range.
+    """
+    parts = np.ascontiguousarray(as_vector(x)).view(np.float64)
+    peak = float(np.abs(parts).max())
+    if peak == 0.0:
+        return 0.0
+    scaled = parts / peak
+    return peak * math.sqrt(scaled @ scaled)

@@ -85,6 +85,13 @@ class QuantizerSpec:
         )
 
 
+def has_imaginary_mass(a, input_norm: float) -> bool:
+    """Whether coefficients need complex mode: ``max|Im a|`` exceeds
+    ``1e-12 * max(input_norm, 1)``, so a real-mode quantizer would drop
+    more than rounding noise."""
+    return bool(np.abs(np.imag(a)).max() > 1e-12 * max(input_norm, 1.0))
+
+
 def _components(a: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     if spec.complex_mode:
         return np.column_stack([a.real, a.imag])
@@ -293,12 +300,19 @@ def distortion_experiment(
     adversarial ``2*W*sqrt(damage_fraction*N)`` applied to the raw
     coefficients; bit-flip the sum ``c*W*sqrt(N)/L + 2*W*sqrt(d)``.  The
     representation's residual bound is always added, since its
-    coefficients only reproduce the input up to that much.
+    coefficients only reproduce the input up to that much.  Raises
+    :class:`InvalidParams` when ``spec`` is real but the coefficients
+    carry imaginary mass (:func:`has_imaginary_mass`), which the bound
+    does not cover.
     """
     v = linalg.as_vector(x)
     if v.shape[0] != f.n or rep.coefficients.size != f.N:
         raise DimensionMismatch(
             f"expected a length-{f.n} vector and {f.N} coefficients"
+        )
+    if not spec.complex_mode and has_imaginary_mass(rep.coefficients, rep.input_norm):
+        raise InvalidParams(
+            "coefficients carry imaginary mass; quantize them in complex mode"
         )
     w = spec.range_half_width
     cfac = math.sqrt(2.0) if spec.complex_mode else 1.0
@@ -343,9 +357,10 @@ def frame_baseline_quantize(f: frames.FrameMatrix, x, levels_L: int) -> Distorti
     if norm == 0.0:
         return _report(0.0, 0.0, 0)
     b = frames.analysis(f, v)
-    complex_mode = bool(np.max(np.abs(b.imag)) > 1e-12 * norm)
     spec = QuantizerSpec(
-        levels_L=levels_L, range_half_width=norm, complex_mode=complex_mode
+        levels_L=levels_L,
+        range_half_width=norm,
+        complex_mode=has_imaginary_mass(b, norm),
     )
     b_hat = quantize_coeffs(b, spec)[1]
     l2 = linalg.norm2(v - frames.synthesis(f, b_hat))
@@ -362,12 +377,11 @@ def separation_experiment(
     (range sized by the measured level, with a hair of headroom) versus
     the raw-frame baseline at the same L.  Returns (spread, baseline)."""
     level = effective_level(rep) * (1.0 + 1e-9)
-    complex_mode = bool(
-        np.max(np.abs(rep.coefficients.imag))
-        > 1e-12 * max(rep.input_norm, 1.0)
-    )
     spec = QuantizerSpec.from_representation(
-        rep, levels_L, complex_mode=complex_mode, level=level
+        rep,
+        levels_L,
+        complex_mode=has_imaginary_mass(rep.coefficients, rep.input_norm),
+        level=level,
     )
     kashin = distortion_experiment(
         f, x, rep, spec, ErrorModel(tag=QUANTIZE_ONLY)

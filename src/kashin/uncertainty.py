@@ -75,12 +75,6 @@ def support_width(delta: float, N: int) -> int:
     return width
 
 
-def _submatrix(frame: frames.FrameMatrix, support: np.ndarray) -> np.ndarray:
-    if frame.kind == frames.DENSE:
-        return frame.matrix[:, support]
-    return frames._dft_rows(frame.N, frame.omega)[:, support]
-
-
 def _top_singular(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
     """Largest singular value of ``sub`` with a right singular vector.
 
@@ -137,7 +131,7 @@ def up_check_exact(
     best = None
     for combo in itertools.combinations(range(frame.N), k):
         support = np.asarray(combo, dtype=np.int64)
-        value, vec = _top_singular(_submatrix(frame, support), g)
+        value, vec = _top_singular(frames.columns(frame, support), g)
         if value > best_ratio:
             best_ratio = value
             best = UPWitness(
@@ -164,7 +158,7 @@ def up_estimate(
     best = None
     for _ in range(trials):
         support = np.sort(g.permutation(frame.N)[:k]).astype(np.int64)
-        value, vec = _top_singular(_submatrix(frame, support), g)
+        value, vec = _top_singular(frames.columns(frame, support), g)
         if value > best_ratio:
             best_ratio = value
             best = UPWitness(

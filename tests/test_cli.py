@@ -73,6 +73,15 @@ class TestExitCodes:
         assert cli.run([
             "up-check", str(frame_file), "--delta", "0.001", "--exact",
         ]) == 2
+        # real-only quantization of coefficients with imaginary parts
+        assert cli.run([
+            "encode", str(frame_file), "--in", str(vec), "--eta", "0.97",
+            "--delta", "0.125", "--iters", "2", "--out", out,
+        ]) == 0
+        assert cli.run([
+            "quantize", "--in", out, "--levels", "8", "--real",
+            "--out", str(tmp_path / "q.kcof"),
+        ]) == 2
 
     def test_malformed_approx_trunc_flag(self, tmp_path, frame_file):
         vec, _ = _write_input(tmp_path, 8)

@@ -46,15 +46,6 @@ class TestScalarClip:
         for bad in (0.0, -1.0):
             with pytest.raises(InvalidParams):
                 conversion.truncate_scalar(1.0, bad)
-            with pytest.raises(InvalidParams):
-                conversion.approx_truncate_scalar(1.0, bad, 0.1, 0.8)
-
-    def test_approx_clip_parameter_domain(self):
-        with pytest.raises(InvalidParams):
-            conversion.approx_truncate_scalar(1.0, 1.0, 0.0, 0.8)
-        with pytest.raises(InvalidParams):
-            conversion.approx_truncate_scalar(1.0, 1.0, 0.1, 1.0)
-        assert conversion.approx_truncate_scalar(3.0, 1.0, 0.1, 0.8) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,6 +320,24 @@ class TestEncode:
                 eps_tight_frame, np.ones(16),
                 _exact_cfg(0.45, 0.05, iterations=1, frame_epsilon=0.0),
             )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_input_near_float_range_round_trips(self):
+        f = frames.gen_random_orthogonal(16, 32, 5)
+        eta, _ = uncertainty.up_check_exact(f, 1 / 32)
+        x = unit_vectors(16, 1, 61)[0]
+        x *= 1e200 / np.max(np.abs(x))
+        rep = conversion.kashin_encode(f, x, _exact_cfg(eta, 1 / 32, iterations=5))
+        assert rep.input_norm == pytest.approx(1e200 * np.linalg.norm(x / 1e200))
+        err = linalg.norm2(x - conversion.kashin_decode(f, rep))
+        assert err <= rep.residual_bound
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_past_float_range_refused_up_front(self):
+        f = frames.gen_random_orthogonal(16, 32, 5)
+        x = np.full(16, 1e308)    # finite entries, norm 4e308
+        with pytest.raises(InvalidParams, match="float64 range"):
+            conversion.kashin_encode(f, x, _exact_cfg(0.9, 1 / 32, iterations=5))
 
 
 class TestExactCompletion:

@@ -77,6 +77,7 @@ class TestPartialFourier:
 
     def test_rows_exactly_orthonormal(self):
         f = frames.gen_partial_fourier(1024, 512, 4, mode=frames.EXACT_N)
+        assert f.tightness_eps == 0.0
         x = unit_vectors(512, 1, 5, complex_valued=True)[0]
         b = frames.analysis(f, x)
         assert abs(np.linalg.norm(b) - 1.0) <= 1e-10
@@ -154,9 +155,17 @@ class TestOperators:
         for _ in range(20):
             x = g.standard_normal(64) + 1j * g.standard_normal(64)
             a = g.standard_normal(128) + 1j * g.standard_normal(128)
-            lhs = linalg.inner(frames.analysis(frame_64x128, x), a)
-            rhs = linalg.inner(x, frames.synthesis(frame_64x128, a))
+            lhs = np.vdot(a, frames.analysis(frame_64x128, x))
+            rhs = np.vdot(frames.synthesis(frame_64x128, a), x)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_columns_match_dense_slice(self, frame_8x16):
+        fourier = frames.gen_partial_fourier(64, 32, 2, mode=frames.EXACT_N)
+        for f in (frame_8x16, fourier):
+            s = np.array([f.N - 1, 0, 3, 5])
+            assert np.array_equal(frames.columns(f, s), frames.dense(f)[:, s])
+        dft_rows = np.fft.fft(np.eye(64), norm="ortho")[fourier.omega]
+        assert np.max(np.abs(frames.dense(fourier) - dft_rows)) <= 1e-14
 
     def test_zero_maps_to_zero(self, frame_8x16):
         assert np.all(frames.analysis(frame_8x16, np.zeros(8)) == 0)

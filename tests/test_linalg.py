@@ -117,23 +117,11 @@ class TestVectorPlumbing:
         with pytest.raises(InvalidParams):
             linalg.as_vector(np.array([np.inf, 0.0]))
 
-    def test_inner_conjugates_second_argument(self):
-        a = np.array([1j, 2.0])
-        b = np.array([1.0, 1j])
-        # sum(a_i * conj(b_i)) = 1j + 2*(-1j) = -1j
-        assert linalg.inner(a, b) == pytest.approx(-1j)
-
-    def test_matvec_and_adjoint_agree_with_matmul(self):
-        g = linalg.rng_from_seed(7)
-        m = g.standard_normal((3, 5)) + 1j * g.standard_normal((3, 5))
-        x = g.standard_normal(5) + 1j * g.standard_normal(5)
-        y = g.standard_normal(3) + 1j * g.standard_normal(3)
-        assert linalg.matvec(m, x) == pytest.approx(m @ x)
-        assert linalg.adjoint_matvec(m, y) == pytest.approx(m.conj().T @ y)
-
     def test_norm2_matches_numpy(self):
         x = np.array([3.0, 4.0j])
         assert linalg.norm2(x) == pytest.approx(5.0)
+        # squaring 1e200 would overflow; the scaled sum does not
+        assert linalg.norm2(1e200 * x) == pytest.approx(5e200)
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,15 +135,3 @@ def test_dft_parseval_property(seed, n):
     assert np.linalg.norm(linalg.dft(x)) == pytest.approx(
         np.linalg.norm(x), rel=1e-12
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_adjoint_identity_property(seed):
-    g = linalg.rng_from_seed(seed)
-    m = g.standard_normal((4, 6)) + 1j * g.standard_normal((4, 6))
-    x = g.standard_normal(6) + 1j * g.standard_normal(6)
-    y = g.standard_normal(4) + 1j * g.standard_normal(4)
-    lhs = linalg.inner(linalg.matvec(m, x), y)
-    rhs = linalg.inner(x, linalg.adjoint_matvec(m, y))
-    assert lhs == pytest.approx(rhs, abs=1e-10)

@@ -322,6 +322,24 @@ class TestDistortionExperiment:
         assert qterms[64] == pytest.approx(qterms[16] / 4, rel=1e-9)
         assert qterms[256] == pytest.approx(qterms[64] / 4, rel=1e-9)
 
+    def test_real_spec_refused_on_imaginary_coefficients(self):
+        # partial Fourier coefficients of a real input are complex; a real
+        # quantizer drops their imaginary parts (l2 error 3.13 for
+        # ||x|| = 6.87 at L = 65536) and must not certify the result
+        f = frames.gen_partial_fourier(128, 64, 3, mode=frames.EXACT_N)
+        x = np.random.default_rng(1).standard_normal(64)
+        rep = _rep_for(f, x, 0.9, 0.05, frame_epsilon=1e-12)
+        model = quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY)
+        real = quantize.QuantizerSpec.from_representation(rep, 65536)
+        with pytest.raises(InvalidParams):
+            quantize.distortion_experiment(f, x, rep, real, model)
+        both = quantize.QuantizerSpec.from_representation(
+            rep, 65536, complex_mode=True
+        )
+        report = quantize.distortion_experiment(f, x, rep, both, model)
+        assert report.bound_satisfied
+        assert report.l2_error <= 1e-2
+
     def test_dimension_checks(self, frame_8x16):
         rep = conversion.KashinRepresentation(
             coefficients=np.full(10, 0.01, dtype=np.complex128),

@@ -123,18 +123,27 @@ class TestEstimate:
             uncertainty.up_estimate(frame_8x16, 2 / 16, trials=0, seed=0)
 
     def test_wide_support_path_against_direct_svd(self):
-        # widths past the exact-SVD cutoff go through power iteration;
-        # check the reported value against a full decomposition of the
-        # same submatrix, which it may undershoot but never exceed.
         f = frames.gen_random_orthogonal(16, 64, 3)
-        eta, w = uncertainty.up_estimate(f, 38 / 64, trials=5, seed=1)
-        assert len(w.support) == 38
-        sub = f.matrix[:, np.asarray(w.support)]
-        top = np.linalg.svd(sub, compute_uv=False)[0]
-        assert eta <= top + 1e-9
-        assert eta >= 0.98 * top
-        realized = np.linalg.norm(frames.synthesis(f, w.vector))
-        assert realized == pytest.approx(eta, abs=1e-9)
+        _check_wide_support(f, f.matrix)
+
+    def test_wide_support_path_against_direct_svd_fourier(self):
+        f = frames.gen_partial_fourier(64, 16, 3, mode=frames.EXACT_N)
+        dft_rows = np.fft.fft(np.eye(64), norm="ortho")[f.omega]
+        _check_wide_support(f, dft_rows)
+
+
+def _check_wide_support(f, matrix):
+    # widths past the exact-SVD cutoff go through power iteration; check
+    # the reported value against a full decomposition of the same
+    # submatrix, which it may undershoot but never exceed.
+    eta, w = uncertainty.up_estimate(f, 38 / 64, trials=5, seed=1)
+    assert len(w.support) == 38
+    sub = matrix[:, np.asarray(w.support)]
+    top = np.linalg.svd(sub, compute_uv=False)[0]
+    assert eta <= top + 1e-9
+    assert eta >= 0.98 * top
+    realized = np.linalg.norm(frames.synthesis(f, w.vector))
+    assert realized == pytest.approx(eta, abs=1e-9)
 
 
 class TestConversions:
