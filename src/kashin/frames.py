@@ -83,7 +83,12 @@ class FrameFamily:
 
 
 def _eps_from_matrix(u: np.ndarray) -> float:
-    s = np.linalg.svd(u, compute_uv=False)
+    u = linalg.real_if_exact(u)
+    gram = u @ u.conj().T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    # sigma^2 = 1 + mu; rounding can push 1 + mu just below 0 when a row is
+    # dependent, and sigma is 0 there
+    s = np.sqrt(np.maximum(1.0 + np.linalg.eigvalsh(gram), 0.0))
     return float(max(1.0 - s.min(), s.max() - 1.0))
 
 
@@ -113,9 +118,13 @@ def measure_tightness(frame: FrameMatrix) -> float:
     """Largest deviation of the frame operator's singular values from 1.
 
     Returns ``max(1 - sigma_min, sigma_max - 1)``, which is 0 exactly when
-    the rows are orthonormal.  DFT row selections are orthonormal by
-    construction, so partial Fourier frames record 0 at every size
-    without materializing.
+    the rows are orthonormal.  Dense frames take the singular values from
+    the eigenvalues mu of the n x n Gram matrix ``U U* - I`` (n <= N, so it
+    is the smaller side): ``sigma = sqrt(max(1 + mu, 0))``.  When the
+    matrix's imaginary part is exactly zero, the Gram matrix is formed in
+    real arithmetic (see :func:`linalg.real_if_exact`).  DFT row selections
+    are orthonormal by construction, so partial Fourier frames record 0 at
+    every size without materializing.
     """
     if frame.kind == PARTIAL_FOURIER:
         return 0.0

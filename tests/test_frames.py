@@ -9,6 +9,11 @@ from kashin.errors import DimensionMismatch, EmptySelection, InvalidParams
 from conftest import unit_vectors
 
 
+def _svd_eps(u):
+    s = np.linalg.svd(u, compute_uv=False)
+    return max(1.0 - s.min(), s.max() - 1.0)
+
+
 class TestRandomOrthogonal:
     def test_square_case_is_unitary(self):
         f = frames.gen_random_orthogonal(3, 3, 1)
@@ -193,6 +198,33 @@ class TestMeasurements:
         assert abs(
             frames.measure_tightness(frame_8x16) - frame_8x16.tightness_eps
         ) <= 1e-10
+
+    def test_dense_frames_match_svd_oracle(self):
+        g = linalg.rng_from_seed(41)
+        z = g.standard_normal((40, 24)) + 1j * g.standard_normal((40, 24))
+        complex_tight = np.linalg.qr(z)[0].conj().T
+        real_tight = np.linalg.qr(g.standard_normal((40, 24)))[0].T
+        for u in (complex_tight, real_tight):
+            f = frames.FrameMatrix(n=24, N=40, kind=frames.DENSE,
+                                   matrix=u.astype(np.complex128))
+            assert abs(frames.measure_tightness(f) - _svd_eps(u)) <= 1e-12
+        for dist in (frames.GAUSSIAN, frames.BERNOULLI):
+            for n, N in ((32, 64), (64, 128)):
+                f = frames.gen_subgaussian(n, N, dist, 5)
+                eps, oracle = frames.measure_tightness(f), _svd_eps(f.matrix)
+                assert 0.4 <= oracle <= 0.8
+                assert abs(eps - oracle) <= 1e-12 * oracle
+                assert f.tightness_eps == eps
+
+    def test_duplicated_row_measures_defect_one(self):
+        # a repeated row makes sigma_min = 0; rounding can put 1 + mu just
+        # below zero, which must clamp to sigma = 0 rather than give NaN
+        u = frames.gen_subgaussian(16, 256, frames.GAUSSIAN, 1).matrix.copy()
+        u[1] = u[0]
+        f = frames.FrameMatrix(n=16, N=256, kind=frames.DENSE, matrix=u)
+        eps = frames.measure_tightness(f)
+        assert np.isfinite(eps)
+        assert abs(eps - 1.0) <= 1e-7
 
     def test_oversized_fourier_selection_short_circuits(self):
         f = frames.FrameMatrix(

@@ -75,6 +75,21 @@ class TestQrOrthonormalizeRows:
         proj = m @ q.conj().T @ q
         assert np.max(np.abs(proj - m)) <= 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_real_input_matches_complex_reference(self, dtype):
+        g = linalg.rng_from_seed(7)
+        m = g.standard_normal((6, 12)).astype(dtype)
+        q = linalg.qr_orthonormalize_rows(m)
+        assert q.dtype == np.complex128
+        assert np.max(np.abs(q @ q.conj().T - np.eye(6))) <= 1e-12
+        # m^H = q^H R, so R = q m^H
+        pivots = np.diagonal(q @ m.conj().T)
+        assert np.all(pivots.imag == 0.0)
+        assert np.all(pivots.real > 0.0)
+        qc, rc = np.linalg.qr(m.astype(np.complex128).conj().T)
+        phase = np.diagonal(rc) / np.abs(np.diagonal(rc))
+        assert np.max(np.abs(q - (qc * phase).conj().T)) <= 1e-13
+
     def test_rank_deficient_rows_rejected(self):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         with pytest.raises(RankDeficient):
