@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Residual-decay sweep across frame families and shapes.
 
-For each (family, n, N) configuration the script calibrates an empirical
-uncertainty constant by random sparse probing, converts a batch of random
-unit vectors into their spread representations, and records the certified
-final residual against the geometric prediction eta^r.  Results land in
-the standard experiment CSV; a per-configuration summary is printed.
+For each (family, n, N) configuration the script runs
+`kashin.sweeps.decay_sweep`: it calibrates an empirical uncertainty
+constant by random sparse probing, converts a batch of random unit vectors
+into their spread representations, and records the final residual against
+the geometric prediction eta'^r.  Configurations whose tightness defect
+leaves no contraction (eta' >= 1) are skipped.  Results land in the
+standard experiment CSV; a per-configuration summary is printed.
 
 Example:
     python3 scripts/decay_experiment.py --out decay.csv \
@@ -19,7 +21,8 @@ import numpy as np
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "src"))
 
-from kashin import conversion, formats, frames, linalg, uncertainty
+from kashin import formats, frames, sweeps
+from kashin.errors import InvalidConfig
 
 
 def parse_shape(text):
@@ -28,50 +31,6 @@ def parse_shape(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NxM, got {text!r}")
     return n, N
-
-
-def run_config(family_tag, n, N, delta, passes, trials, margin, seed):
-    frame = frames.generate(frames.FrameFamily(tag=family_tag, n=n, N=N,
-                                               seed=seed))
-    eta_hat, _ = uncertainty.up_estimate(frame, delta, trials=2000, seed=seed)
-    eta = min(eta_hat + margin, 1.0 - 1e-6)
-    cfg = conversion.ConversionConfig(
-        up=uncertainty.UPParams(eta=eta, delta=delta),
-        truncation=conversion.TruncationSpec(),
-        iterations=passes,
-        frame_epsilon=frame.tightness_eps + 1e-12,
-    )
-    eta_adj, _, level = conversion.adjusted_parameters(cfg)
-    if eta_adj >= 1.0:
-        print(f"  skipped: adjusted eta {eta_adj:.4f} >= 1 "
-              f"(frame eps {frame.tightness_eps:.3e})")
-        return []
-    bound = eta_adj**passes + 1e-13
-
-    g = linalg.rng_from_seed(seed + 1)
-    rows = []
-    worst_ratio = 0.0
-    for t in range(trials):
-        x = g.standard_normal(n)
-        x /= np.linalg.norm(x)
-        rep = conversion.kashin_encode(frame, x, cfg)
-        prev = 1.0
-        for rn in rep.residual_norms:
-            worst_ratio = max(worst_ratio, rn / prev)
-            prev = rn
-        rows.append(formats.ExperimentRow(
-            family=family_tag, n=n, N=N, up_eta=eta, up_delta=delta,
-            K=rep.level_K, L=0, model="decay", damage_fraction=0.0,
-            seed=seed + t, l2_error=rep.residual_norms[-1], bound=bound,
-            bound_ok=rep.residual_norms[-1] <= bound + 1e-9,
-        ))
-    finals = np.array([row.l2_error for row in rows])
-    print(f"  eta-hat={eta_hat:.4f} -> eta={eta:.4f} "
-          f"(adjusted {eta_adj:.4f}, level {level:.1f}); "
-          f"worst per-pass ratio={worst_ratio:.4f}; "
-          f"final residual median={np.median(finals):.3e} "
-          f"max={finals.max():.3e} vs bound={bound:.3e}")
-    return rows
 
 
 def main(argv=None):
@@ -90,8 +49,6 @@ def main(argv=None):
                         help="conversion passes per input")
     parser.add_argument("--trials", type=int, default=100,
                         help="random inputs per configuration")
-    parser.add_argument("--margin", type=float, default=0.02,
-                        help="safety margin added to the estimated eta")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -99,10 +56,19 @@ def main(argv=None):
     for family_tag in args.families:
         for n, N in args.shapes:
             print(f"{family_tag} n={n} N={N} delta={args.delta}")
-            all_rows.extend(run_config(
-                family_tag, n, N, args.delta, args.passes, args.trials,
-                args.margin, args.seed,
-            ))
+            family = frames.FrameFamily(family_tag, n, N, args.seed)
+            try:
+                sweep = sweeps.decay_sweep(family, args.delta, args.passes, args.trials)
+            except InvalidConfig as exc:
+                print(f"  skipped: {exc}")
+                continue
+            finals = np.array([row.l2_error for row in sweep.rows])
+            print(f"  eta={sweep.eta:.4f} (sampled + {sweeps.ETA_MARGIN}; "
+                  f"adjusted {sweep.eta_adjusted:.4f}, level {sweep.level:.1f}); "
+                  f"worst per-pass ratio={sweep.worst_ratio:.4f}; "
+                  f"final residual median={np.median(finals):.3e} "
+                  f"max={finals.max():.3e} vs bound={sweep.rows[0].bound:.3e}")
+            all_rows.extend(sweep.rows)
     formats.write_experiment_csv(args.out, all_rows)
     violations = sum(not row.bound_ok for row in all_rows)
     print(f"wrote {len(all_rows)} rows to {args.out} "

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Distortion sweep over quantizer resolution and channel damage.
 
-Runs the spread-coefficient codec against a grid of quantizer levels and
-error models, paired with the raw-frame-coefficient baseline at each
-resolution, and reports median distortion per cell.  Rows go to the
-standard experiment CSV (baseline rows use model tag "baseline").
+Runs the spread-coefficient codec (`kashin.sweeps.channel_sweep`) on a
+random orthogonal frame against a grid of quantizer levels and error
+models, paired with the raw-frame-coefficient baseline at each
+resolution, and reports median distortion per cell.  Every cell sees the
+same inputs.  Rows go to the standard experiment CSV (baseline rows use
+model tag "baseline").
 
 Codec rows quantize over the certified worst-case coefficient range, so
 at coarse resolutions the raw baseline can come out ahead; the paired
@@ -23,61 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "src"))
 
-from kashin import conversion, formats, frames, linalg, quantize, uncertainty
-
-
-def build_codec(n, N, delta, passes, seed):
-    frame = frames.gen_random_orthogonal(n, N, seed)
-    eta = uncertainty.up_estimate(frame, delta, trials=2000, seed=seed)[0] + 0.02
-    cfg = conversion.ConversionConfig(
-        up=uncertainty.UPParams(eta=eta, delta=delta),
-        truncation=conversion.TruncationSpec(),
-        iterations=passes,
-        frame_epsilon=frame.tightness_eps + 1e-12,
-    )
-    return frame, eta, cfg
-
-
-def sweep_cell(frame, eta, cfg, levels, model_tag, damage, trials, seed,
-               with_baseline):
-    g = linalg.rng_from_seed(seed)
-    rows = []
-    errors = []
-    base_errors = []
-    for t in range(trials):
-        x = g.standard_normal(frame.n)
-        x /= np.linalg.norm(x)
-        rep = conversion.kashin_encode(frame, x, cfg)
-        spec = quantize.QuantizerSpec.from_representation(rep, levels)
-        model = quantize.ErrorModel(
-            tag=model_tag,
-            damage_fraction=damage if model_tag != quantize.QUANTIZE_ONLY else 0.0,
-            seed=seed + t,
-        )
-        report = quantize.distortion_experiment(frame, x, rep, spec, model)
-        errors.append(report.l2_error)
-        rows.append(formats.ExperimentRow(
-            family=frame.kind, n=frame.n, N=frame.N, up_eta=eta,
-            up_delta=cfg.up.delta, K=rep.level_K, L=levels, model=model_tag,
-            damage_fraction=model.damage_fraction, seed=seed + t,
-            l2_error=report.l2_error, bound=report.theoretical_bound,
-            bound_ok=report.bound_satisfied,
-        ))
-        if with_baseline and model_tag == quantize.QUANTIZE_ONLY:
-            base = quantize.frame_baseline_quantize(frame, x, levels)
-            base_errors.append(base.l2_error)
-            rows.append(formats.ExperimentRow(
-                family=frame.kind, n=frame.n, N=frame.N, up_eta=eta,
-                up_delta=cfg.up.delta, K=0.0, L=levels, model="baseline",
-                damage_fraction=0.0, seed=seed + t,
-                l2_error=base.l2_error, bound=base.theoretical_bound,
-                bound_ok=base.bound_satisfied,
-            ))
-    label = f"L={levels:5d} {model_tag:13s} damage={damage:.4f}"
-    extra = (f"  baseline median={np.median(base_errors):.4e}"
-             if base_errors else "")
-    print(f"  {label} median l2={np.median(errors):.4e}{extra}")
-    return rows
+from kashin import formats, frames, quantize, sweeps
 
 
 def main(argv=None):
@@ -103,17 +51,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     n, N = (int(part) for part in args.shape.lower().split("x"))
-    frame, eta, cfg = build_codec(n, N, args.delta, args.passes, args.seed)
-    print(f"random-orthogonal n={n} N={N}, eta={eta:.4f}, "
+    family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, n, N, args.seed)
+    cells = [(tag, 0.0 if tag == quantize.QUANTIZE_ONLY else args.damage, levels)
+             for levels in args.levels for tag in args.models]
+    per_cell = sweeps.channel_sweep(family, args.delta, args.passes, cells,
+                                    args.trials, baseline=not args.no_baseline)
+    print(f"{family.tag} n={n} N={N}, eta={per_cell[0][0].up_eta:.4f}, "
           f"passes={args.passes}")
 
     all_rows = []
-    for levels in args.levels:
-        for model_tag in args.models:
-            all_rows.extend(sweep_cell(
-                frame, eta, cfg, levels, model_tag, args.damage,
-                args.trials, args.seed + 1000, not args.no_baseline,
-            ))
+    for (tag, damage, levels), rows in zip(cells, per_cell):
+        errors = [row.l2_error for row in rows if row.model == tag]
+        base_errors = [row.l2_error for row in rows if row.model == "baseline"]
+        extra = (f"  baseline median={np.median(base_errors):.4e}"
+                 if base_errors else "")
+        print(f"  L={levels:5d} {tag:13s} damage={damage:.4f} "
+              f"median l2={np.median(errors):.4e}{extra}")
+        all_rows.extend(rows)
     formats.write_experiment_csv(args.out, all_rows)
     violations = sum(not row.bound_ok for row in all_rows)
     print(f"wrote {len(all_rows)} rows to {args.out} "

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import conversion, formats, frames, linalg, quantize, uncertainty
+from . import conversion, formats, frames, quantize, sweeps, uncertainty
 from .errors import FormatError, InvalidParams, KashinError
 
 _FAMILY_FLAGS = {
@@ -125,15 +125,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_frame(args) -> int:
-    tag = _FAMILY_FLAGS[args.family]
-    if tag == frames.RANDOM_ORTHOGONAL:
-        frame = frames.gen_random_orthogonal(args.n, args.N, args.seed)
-    elif tag == frames.PARTIAL_FOURIER:
-        frame = frames.gen_partial_fourier(
-            args.N, args.n, args.seed, mode=frames.EXACT_N
-        )
-    else:
-        frame = frames.gen_subgaussian(args.n, args.N, tag, args.seed)
+    frame = frames.generate(
+        frames.FrameFamily(_FAMILY_FLAGS[args.family], args.n, args.N, args.seed)
+    )
     formats.write_frame(args.out, frame)
     print(f"wrote {args.out}: {args.family} n={frame.n} N={frame.N}")
     print(f"tightness epsilon: {frame.tightness_eps:.6e}")
@@ -270,14 +264,7 @@ def _cmd_simulate(args) -> int:
             seed=args.seed + index,
             worst_direction=args.worst_direction,
         )
-        report = quantize.distortion_experiment(frame, x, rep, spec, model)
-        return formats.ExperimentRow(
-            family=frame.kind, n=frame.n, N=frame.N, up_eta=args.eta,
-            up_delta=args.delta, K=rep.level_K, L=args.levels, model=tag,
-            damage_fraction=args.damage, seed=args.seed + index,
-            l2_error=report.l2_error, bound=report.theoretical_bound,
-            bound_ok=report.bound_satisfied,
-        )
+        return sweeps.trial_row(frame.kind, frame, x, rep, spec, model, cfg.up)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -292,80 +279,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _bench_decay(seed: int, trials: int | None) -> list[formats.ExperimentRow]:
-    n, N, delta, r = 64, 128, 0.05, 20
-    count = 200 if trials is None else trials
-    frame = frames.gen_random_orthogonal(n, N, seed)
-    eta_hat = uncertainty.up_estimate(frame, delta, 2000, seed)[0]
-    eta = eta_hat + 0.02
-    cfg = conversion.ConversionConfig(
-        up=uncertainty.UPParams(eta=eta, delta=delta),
-        truncation=conversion.TruncationSpec(),
-        iterations=r,
-        frame_epsilon=frame.tightness_eps + 1e-12,
-    )
-    g = linalg.rng_from_seed(seed + 1)
-    rows = []
-    for t in range(count):
-        x = g.standard_normal(n)
-        x = x / np.linalg.norm(x)
-        rep = conversion.kashin_encode(frame, x, cfg)
-        bound = eta**r + 1e-13
-        rows.append(formats.ExperimentRow(
-            family=frames.RANDOM_ORTHOGONAL, n=n, N=N, up_eta=eta,
-            up_delta=delta, K=rep.level_K, L=0, model="decay",
-            damage_fraction=0.0, seed=seed + t,
-            l2_error=rep.residual_norms[-1], bound=bound,
-            bound_ok=rep.residual_norms[-1] <= bound + 1e-9,
-        ))
-    return rows
-
-
-def _bench_channel(seed: int, trials: int | None, suite: str
-                   ) -> list[formats.ExperimentRow]:
-    n, N, delta, r = 64, 128, 0.05, 12
-    count = 100 if trials is None else trials
-    frame = frames.gen_random_orthogonal(n, N, seed)
-    eta = uncertainty.up_estimate(frame, delta, 2000, seed)[0] + 0.02
-    cfg = conversion.ConversionConfig(
-        up=uncertainty.UPParams(eta=eta, delta=delta),
-        truncation=conversion.TruncationSpec(),
-        iterations=r,
-        frame_epsilon=frame.tightness_eps + 1e-12,
-    )
-    if suite == "quantization":
-        settings = [(quantize.QUANTIZE_ONLY, 0.0, levels)
-                    for levels in (16, 64, 256)]
-    else:
-        settings = [(quantize.ADVERSARIAL, fraction, 64)
-                    for fraction in (1 / 128, 4 / 128, 8 / 128)]
-    g = linalg.rng_from_seed(seed + 1)
-    rows = []
-    for tag, fraction, levels in settings:
-        for t in range(count):
-            x = g.standard_normal(n)
-            x = x / np.linalg.norm(x)
-            rep = conversion.kashin_encode(frame, x, cfg)
-            spec = quantize.QuantizerSpec.from_representation(rep, levels)
-            model = quantize.ErrorModel(
-                tag=tag, damage_fraction=fraction, seed=seed + t
-            )
-            report = quantize.distortion_experiment(frame, x, rep, spec, model)
-            rows.append(formats.ExperimentRow(
-                family=frames.RANDOM_ORTHOGONAL, n=n, N=N, up_eta=eta,
-                up_delta=delta, K=rep.level_K, L=levels, model=tag,
-                damage_fraction=fraction, seed=seed + t,
-                l2_error=report.l2_error, bound=report.theoretical_bound,
-                bound_ok=report.bound_satisfied,
-            ))
-    return rows
-
-
 def _cmd_bench(args) -> int:
+    family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, 64, 128, args.seed)
     if args.suite == "decay":
-        rows = _bench_decay(args.seed, args.trials)
+        trials = 200 if args.trials is None else args.trials
+        rows = sweeps.decay_sweep(family, 0.05, 20, trials).rows
     else:
-        rows = _bench_channel(args.seed, args.trials, args.suite)
+        if args.suite == "quantization":
+            cells = [(quantize.QUANTIZE_ONLY, 0.0, levels) for levels in (16, 64, 256)]
+        else:
+            cells = [(quantize.ADVERSARIAL, k / 128, 64) for k in (1, 4, 8)]
+        trials = 100 if args.trials is None else args.trials
+        rows = [row for cell in sweeps.channel_sweep(family, 0.05, 12, cells, trials)
+                for row in cell]
     formats.write_experiment_csv(args.csv, rows)
     violations = sum(not r.bound_ok for r in rows)
     print(f"suite: {args.suite}")

@@ -58,8 +58,8 @@ def frame_to_bytes(frame: frames.FrameMatrix) -> bytes:
 
 
 def frame_from_bytes(blob: bytes) -> frames.FrameMatrix:
-    """Parse a frame file; the tightness defect is re-measured since the
-    format does not carry it."""
+    """Parse a frame file.  The format does not carry the tightness
+    defect; the frame measures it on first read of ``tightness_eps``."""
     if len(blob) < _FRAME_HEADER.size:
         raise FormatError("frame file shorter than its header")
     magic, version, kind_code, n, N = _FRAME_HEADER.unpack_from(blob)
@@ -81,17 +81,15 @@ def frame_from_bytes(blob: bytes) -> frames.FrameMatrix:
         matrix = np.frombuffer(payload, dtype="<c16").reshape(n, N).astype(
             np.complex128
         )
-        frame = frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
-    else:
-        if len(payload) != 4 * n:
-            raise FormatError(
-                f"index payload holds {len(payload)} bytes; expected {4 * n}"
-            )
-        omega = np.frombuffer(payload, dtype="<u4").astype(np.int64)
-        if np.any(omega >= N) or np.any(np.diff(omega) <= 0):
-            raise FormatError("row indices must be sorted, distinct, and in [0, N)")
-        frame = frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
-    return frames.with_tightness(frame, frames.measure_tightness(frame))
+        return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
+    if len(payload) != 4 * n:
+        raise FormatError(
+            f"index payload holds {len(payload)} bytes; expected {4 * n}"
+        )
+    omega = np.frombuffer(payload, dtype="<u4").astype(np.int64)
+    if np.any(omega >= N) or np.any(np.diff(omega) <= 0):
+        raise FormatError("row indices must be sorted, distinct, and in [0, N)")
+    return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
 
 
 def representation_to_bytes(rep: KashinRepresentation) -> bytes:

@@ -9,7 +9,7 @@ unitary DFT and a row selection.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +36,10 @@ _DENSE_CAP = 1 << 22
 class FrameMatrix:
     """A frame of N vectors in C^n, dense or as a DFT row selection.
 
-    ``tightness_eps`` is the measured deviation of the frame operator's
-    singular values from 1; generators fill it in, hand-built instances
-    should call :func:`measure_tightness` themselves.
+    ``tightness_eps`` is the deviation of the frame operator's singular
+    values from 1, measured by :func:`measure_tightness` on first read and
+    cached, so every instance carries its true defect and frames that
+    never consult it never pay for it.
     """
 
     n: int
@@ -46,7 +47,6 @@ class FrameMatrix:
     kind: str
     matrix: np.ndarray | None = None
     omega: np.ndarray | None = None
-    tightness_eps: float = 0.0
 
     def __post_init__(self):
         if not 1 <= self.n <= self.N:
@@ -62,8 +62,10 @@ class FrameMatrix:
                 raise InvalidParams("row indices must be sorted, distinct, and in [0, N)")
         else:
             raise InvalidParams(f"unknown frame kind {self.kind!r}")
-        if not np.isfinite(self.tightness_eps) or self.tightness_eps < 0.0:
-            raise InvalidParams("tightness_eps must be finite and >= 0")
+
+    @functools.cached_property
+    def tightness_eps(self) -> float:
+        return measure_tightness(self)
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,6 @@ class FrameFamily:
             raise InvalidParams(f"unknown family tag {self.tag!r}")
         if not 1 <= self.n <= self.N:
             raise InvalidParams(f"need 1 <= n <= N, got n={self.n} N={self.N}")
-
-
-def _eps_from_matrix(u: np.ndarray) -> float:
-    u = linalg.real_if_exact(u)
-    gram = u @ u.conj().T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    # sigma^2 = 1 + mu; rounding can push 1 + mu just below 0 when a row is
-    # dependent, and sigma is 0 there
-    s = np.sqrt(np.maximum(1.0 + np.linalg.eigvalsh(gram), 0.0))
-    return float(max(1.0 - s.min(), s.max() - 1.0))
 
 
 def columns(frame: FrameMatrix, support) -> np.ndarray:
@@ -128,7 +120,13 @@ def measure_tightness(frame: FrameMatrix) -> float:
     """
     if frame.kind == PARTIAL_FOURIER:
         return 0.0
-    return _eps_from_matrix(frame.matrix)
+    u = linalg.real_if_exact(frame.matrix)
+    gram = u @ u.conj().T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    # sigma^2 = 1 + mu; rounding can push 1 + mu just below 0 when a row is
+    # dependent, and sigma is 0 there
+    s = np.sqrt(np.maximum(1.0 + np.linalg.eigvalsh(gram), 0.0))
+    return float(max(1.0 - s.min(), s.max() - 1.0))
 
 
 def gen_random_orthogonal(n: int, N: int, seed: int) -> FrameMatrix:
@@ -140,7 +138,7 @@ def gen_random_orthogonal(n: int, N: int, seed: int) -> FrameMatrix:
     """
     g = linalg.sample_gaussian(n, N, seed)
     u = linalg.qr_orthonormalize_rows(g)
-    return FrameMatrix(n=n, N=N, kind=DENSE, matrix=u, tightness_eps=_eps_from_matrix(u))
+    return FrameMatrix(n=n, N=N, kind=DENSE, matrix=u)
 
 
 def gen_partial_fourier(
@@ -173,7 +171,7 @@ def gen_subgaussian(n: int, N: int, dist: str, seed: int) -> FrameMatrix:
 
     ``dist`` selects the entry law: ``gaussian`` for N(0, 1) or
     ``bernoulli`` for symmetric +/-1.  Rows are only approximately
-    orthonormal; the measured defect is recorded in ``tightness_eps``.
+    orthonormal; ``tightness_eps`` measures the defect.
     """
     if dist == GAUSSIAN:
         phi = linalg.sample_gaussian(n, N, seed)
@@ -182,7 +180,7 @@ def gen_subgaussian(n: int, N: int, dist: str, seed: int) -> FrameMatrix:
     else:
         raise InvalidParams(f"unknown entry distribution {dist!r}")
     u = phi / np.sqrt(N)
-    return FrameMatrix(n=n, N=N, kind=DENSE, matrix=u, tightness_eps=_eps_from_matrix(u))
+    return FrameMatrix(n=n, N=N, kind=DENSE, matrix=u)
 
 
 def generate(family: FrameFamily) -> FrameMatrix:
@@ -227,7 +225,3 @@ def frame_norm_sum(frame: FrameMatrix) -> float:
         return float(frame.n)
     return float(np.sum(np.abs(frame.matrix) ** 2))
 
-
-def with_tightness(frame: FrameMatrix, eps: float) -> FrameMatrix:
-    """Copy of ``frame`` with a replaced tightness record."""
-    return dataclasses.replace(frame, tightness_eps=eps)

@@ -109,6 +109,24 @@ class TestFrameCommands:
         assert _value(out, "N") == 8
         assert abs(_value(out, "frame-norm sum") - 4.0) <= 1e-8
 
+    @pytest.mark.parametrize("family", ["orthogonal", "fourier", "gaussian", "bernoulli"])
+    def test_gen_frame_writes_the_generated_frame(self, tmp_path, capsys, family):
+        path = tmp_path / "f.kfrm"
+        assert cli.run([
+            "gen-frame", "--family", family, "--n", "6", "--N", "16",
+            "--seed", "5", "--out", str(path),
+        ]) == 0
+        frame = frames.generate(frames.FrameFamily(cli._FAMILY_FLAGS[family], 6, 16, 5))
+        assert path.read_bytes() == formats.frame_to_bytes(frame)
+        assert capsys.readouterr().out == (
+            f"wrote {path}: {family} n=6 N=16\n"
+            f"tightness epsilon: {frame.tightness_eps:.6e}\n"
+        )
+        assert cli.run([
+            "gen-frame", "--family", family, "--n", "16", "--N", "6",
+            "--out", str(tmp_path / "bad.kfrm"),
+        ]) == 2
+
     def test_fourier_family(self, tmp_path, capsys):
         path = tmp_path / "pf.kfrm"
         assert cli.run([
@@ -190,6 +208,26 @@ class TestCodecCommands:
         ]) == 0
         x_hat = formats.read_vector(back)
         assert np.linalg.norm(x - x_hat) <= bound + 1e-12
+
+    def test_decode_does_not_measure_tightness(self, tmp_path, frame_file,
+                                               monkeypatch):
+        vec, x = _write_input(tmp_path, 8)
+        coef = tmp_path / "c.kcof"
+        assert cli.run([
+            "encode", str(frame_file), "--in", str(vec), "--eta", "0.97",
+            "--delta", "0.125", "--iters", "4", "--exact-last",
+            "--out", str(coef),
+        ]) == 0
+
+        def refuse(frame):
+            raise AssertionError("decode measured the frame's tightness")
+
+        monkeypatch.setattr(frames, "measure_tightness", refuse)
+        back = tmp_path / "xhat.vec"
+        assert cli.run([
+            "decode", str(frame_file), "--in", str(coef), "--out", str(back),
+        ]) == 0
+        assert formats.read_vector(back).shape == (8,)
 
     def test_binary_vector_format_flag(self, tmp_path, frame_file):
         g = linalg.rng_from_seed(9)
@@ -296,6 +334,23 @@ class TestBench:
         assert all(r.model == "decay" for r in rows)
         assert all(r.bound_ok for r in rows)
         assert _value(capsys.readouterr().out, "bound violations") == 0
+
+    def test_decay_bound_uses_adjusted_eta(self, tmp_path):
+        csv_path = tmp_path / "decay.csv"
+        assert cli.run([
+            "bench", "--suite", "decay", "--trials", "2",
+            "--csv", str(csv_path),
+        ]) == 0
+        frame = frames.gen_random_orthogonal(64, 128, 0)
+        for row in formats.read_experiment_csv(csv_path):
+            cfg = conversion.ConversionConfig(
+                up=uncertainty.UPParams(eta=row.up_eta, delta=row.up_delta),
+                truncation=conversion.TruncationSpec(),
+                iterations=20,
+                frame_epsilon=frame.tightness_eps + 1e-12,
+            )
+            expected = conversion.adjusted_parameters(cfg)[0] ** 20 + 1e-13
+            assert row.bound == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_quantization_suite(self, tmp_path):
         csv_path = tmp_path / "quant.csv"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kashin import frames, linalg
-from kashin.errors import DimensionMismatch, EmptySelection, InvalidParams
+from kashin import conversion, frames, linalg, quantize, uncertainty
+from kashin.errors import DimensionMismatch, EmptySelection, InvalidConfig, InvalidParams
 
 from conftest import unit_vectors
 
@@ -190,9 +190,26 @@ class TestMeasurements:
         f = frames.FrameMatrix(
             n=1, N=3, kind=frames.DENSE,
             matrix=np.array([[1.2, 0, 0]], dtype=np.complex128),
-            tightness_eps=0.2,
         )
         assert frames.measure_tightness(f) == pytest.approx(0.2)
+        assert f.tightness_eps == pytest.approx(0.2)
+
+    def test_hand_built_frame_cannot_understate_its_defect(self):
+        # a scaled tight frame carries its measured defect 0.3, so checks
+        # that need a (nearly) tight frame refuse it
+        u = frames.gen_random_orthogonal(64, 128, 3).matrix
+        f = frames.FrameMatrix(n=64, N=128, kind=frames.DENSE, matrix=1.3 * u)
+        assert f.tightness_eps == pytest.approx(0.3)
+        x = linalg.rng_from_seed(1).standard_normal(64)
+        with pytest.raises(InvalidParams, match="tight frame"):
+            quantize.frame_baseline_quantize(f, x, 64)
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=0.5, delta=0.05),
+            truncation=conversion.TruncationSpec(), iterations=4,
+            frame_epsilon=0.0,
+        )
+        with pytest.raises(InvalidConfig, match="tightness defect"):
+            conversion.kashin_encode(f, x, cfg)
 
     def test_stored_eps_consistent_with_measurement(self, frame_8x16):
         assert abs(

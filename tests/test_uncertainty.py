@@ -83,7 +83,7 @@ class TestExactCheck:
     def test_scale_homogeneity(self, frame_8x16):
         scaled = frames.FrameMatrix(
             n=8, N=16, kind=frames.DENSE,
-            matrix=1.7 * frame_8x16.matrix, tightness_eps=0.7,
+            matrix=1.7 * frame_8x16.matrix,
         )
         base, _ = uncertainty.up_check_exact(frame_8x16, 2 / 16)
         big, _ = uncertainty.up_check_exact(scaled, 2 / 16)
