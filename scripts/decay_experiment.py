@@ -3,9 +3,10 @@
 
 For each (family, n, N) configuration the script runs
 `kashin.sweeps.decay_sweep`: it calibrates an empirical uncertainty
-constant by random sparse probing, converts a batch of random unit vectors
-into their spread representations, and records the final residual against
-the geometric prediction eta'^r.  Configurations whose tightness defect
+constant by random sparse probing, converts a batch of normalized frame
+columns (inputs that clip, unlike most random vectors) into their spread
+representations, and records the final residual against the geometric
+prediction eta'^r.  Configurations whose tightness defect
 leaves no contraction (eta' >= 1) are skipped.  Results land in the
 standard experiment CSV; a per-configuration summary is printed.
 
@@ -48,7 +49,7 @@ def main(argv=None):
     parser.add_argument("--passes", type=int, default=20,
                         help="conversion passes per input")
     parser.add_argument("--trials", type=int, default=100,
-                        help="random inputs per configuration")
+                        help="frame-column inputs per configuration")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -44,25 +45,40 @@ CSV_HEADER = [
 ]
 
 
-def frame_to_bytes(frame: frames.FrameMatrix) -> bytes:
-    """Serialize a frame; dense matrices row-major as (re, im) float64
-    pairs, row selections as sorted u32 indices."""
+def _frame_parts(frame: frames.FrameMatrix) -> tuple[bytes, np.ndarray]:
+    """Header and payload array of a frame file; dense matrices row-major
+    as (re, im) float64 pairs, row selections as sorted u32 indices."""
     header = _FRAME_HEADER.pack(
         FRAME_MAGIC, FORMAT_VERSION, _KIND_CODES[frame.kind], frame.n, frame.N
     )
     if frame.kind == frames.DENSE:
-        payload = np.ascontiguousarray(frame.matrix, dtype="<c16").tobytes()
-    else:
-        payload = frame.omega.astype("<u4").tobytes()
-    return header + payload
+        return header, np.ascontiguousarray(frame.matrix, dtype="<c16")
+    return header, frame.omega.astype("<u4")
+
+
+def frame_to_bytes(frame: frames.FrameMatrix) -> bytes:
+    """Serialize a frame (see :func:`_frame_parts` for the layout)."""
+    header, payload = _frame_parts(frame)
+    return header + payload.tobytes()
 
 
 def frame_from_bytes(blob: bytes) -> frames.FrameMatrix:
-    """Parse a frame file.  The format does not carry the tightness
-    defect; the frame measures it on first read of ``tightness_eps``."""
-    if len(blob) < _FRAME_HEADER.size:
+    """Parse a frame file held in memory (see :func:`_read_frame`)."""
+    return _read_frame(io.BytesIO(blob))
+
+
+def _read_frame(fh) -> frames.FrameMatrix:
+    """Parse a frame file from a seekable binary stream.
+
+    The payload is read straight into the frame's own array, its only
+    copy, once the header and the stream's length agree.  The format does
+    not carry the tightness defect; the frame measures it on first read of
+    ``tightness_eps``.
+    """
+    head = fh.read(_FRAME_HEADER.size)
+    if len(head) < _FRAME_HEADER.size:
         raise FormatError("frame file shorter than its header")
-    magic, version, kind_code, n, N = _FRAME_HEADER.unpack_from(blob)
+    magic, version, kind_code, n, N = _FRAME_HEADER.unpack(head)
     if magic != FRAME_MAGIC:
         raise FormatError(f"bad magic {magic!r}; expected {FRAME_MAGIC!r}")
     if version != FORMAT_VERSION:
@@ -71,25 +87,32 @@ def frame_from_bytes(blob: bytes) -> frames.FrameMatrix:
         raise FormatError(f"unknown frame kind code {kind_code}")
     if not 1 <= n <= N:
         raise FormatError(f"inconsistent header dimensions n={n} N={N}")
-    payload = blob[_FRAME_HEADER.size:]
+    size = fh.seek(0, io.SEEK_END) - _FRAME_HEADER.size
+    fh.seek(_FRAME_HEADER.size)
     kind = _KIND_NAMES[kind_code]
     if kind == frames.DENSE:
-        if len(payload) != 16 * n * N:
-            raise FormatError(
-                f"dense payload holds {len(payload)} bytes; expected {16 * n * N}"
-            )
-        matrix = np.frombuffer(payload, dtype="<c16").reshape(n, N).astype(
-            np.complex128
+        matrix = _read_payload(fh, size, "dense", "<c16", (n, N))
+        return frames.FrameMatrix(
+            n=n, N=N, kind=kind, matrix=matrix.astype(np.complex128, copy=False)
         )
-        return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
-    if len(payload) != 4 * n:
-        raise FormatError(
-            f"index payload holds {len(payload)} bytes; expected {4 * n}"
-        )
-    omega = np.frombuffer(payload, dtype="<u4").astype(np.int64)
+    omega = _read_payload(fh, size, "index", "<u4", (n,)).astype(np.int64)
     if np.any(omega >= N) or np.any(np.diff(omega) <= 0):
         raise FormatError("row indices must be sorted, distinct, and in [0, N)")
     return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
+
+
+def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:
+    """The rest of ``fh``, ``size`` bytes long, read into a new array of
+    ``dtype`` and ``shape``; the array is allocated only once ``size`` is
+    what the shape needs, so a corrupt header cannot ask for more memory
+    than the file holds."""
+    expected = np.dtype(dtype).itemsize * math.prod(shape)
+    if size != expected:
+        raise FormatError(f"{what} payload holds {size} bytes; expected {expected}")
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out.data.cast("B")) != expected:
+        raise FormatError(f"{what} payload ended while it was read")
+    return out
 
 
 def representation_to_bytes(rep: KashinRepresentation) -> bytes:
@@ -147,11 +170,17 @@ def representation_from_bytes(blob: bytes) -> KashinRepresentation:
 
 
 def write_frame(path, frame: frames.FrameMatrix) -> None:
-    Path(path).write_bytes(frame_to_bytes(frame))
+    """Write the bytes of :func:`frame_to_bytes` without joining them in
+    memory: the header, then the payload array's own buffer."""
+    header, payload = _frame_parts(frame)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.data)
 
 
 def read_frame(path) -> frames.FrameMatrix:
-    return frame_from_bytes(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return _read_frame(fh)
 
 
 def write_representation(path, rep: KashinRepresentation) -> None:

@@ -85,18 +85,24 @@ class FrameFamily:
 
 
 def columns(frame: FrameMatrix, support) -> np.ndarray:
-    """The (n, k) matrix of frame vectors listed in ``support``.
+    """The frame vectors listed in ``support``: an (n, k) matrix for a
+    1-d support, an (n, B, k) block for a (B, k) array of supports.
 
-    Partial Fourier frames build only the requested columns, entry
+    Partial Fourier frames gather only the requested entries
     ``exp(-2 pi i (w * j mod N) / N) / sqrt(N)`` for row ``w`` and column
-    ``j``; reducing ``w * j`` mod N keeps the phase argument below 2 pi,
-    so its rounding does not grow with N.
+    ``j`` from a table of the N roots of unity, built per call; reducing
+    ``w * j`` mod N keeps the phase argument below 2 pi, so its rounding
+    does not grow with N.  The table is not cached on the frame: a
+    long-lived array allocated at the first gather lands wherever the heap
+    has a hole, splits it, and makes a process's peak memory depend on
+    when that gather ran.
     """
     support = np.asarray(support, dtype=np.int64)
     if frame.kind == DENSE:
         return frame.matrix[:, support]
-    phase = np.outer(frame.omega, support) % frame.N
-    return np.exp((-2j * np.pi / frame.N) * phase) / np.sqrt(frame.N)
+    N = frame.N
+    roots = np.exp((-2j * np.pi / N) * np.arange(N)) / np.sqrt(N)
+    return roots[np.multiply.outer(frame.omega, support) % N]
 
 
 def dense(frame: FrameMatrix) -> np.ndarray:

@@ -6,8 +6,11 @@ experiment CSV whose ``family`` column is the family tag.
 
 Input draws: a sweep draws its unit inputs from ``rng_from_seed(seed + 1)``
 and trial t carries seed ``seed + t`` (also the channel model's seed), with
-``seed`` the family's.  Every channel cell sees the same inputs and model
-seeds, so cells are paired trial by trial.
+``seed`` the family's.  Channel sweeps draw Gaussian inputs, and every
+channel cell sees the same inputs and model seeds, so cells are paired trial
+by trial.  Decay sweeps draw frame columns, normalized: inputs that clip,
+where random Gaussian ones often leave every coefficient below the clip
+level and stop after one pass.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ def _unit_inputs(n: int, seed: int, count: int) -> list[np.ndarray]:
     return inputs
 
 
+def _column_inputs(frame: frames.FrameMatrix, seed: int, count: int
+                   ) -> list[np.ndarray]:
+    g = linalg.rng_from_seed(seed + 1)
+    cols = frames.columns(frame, g.integers(frame.N, size=count))
+    return list((cols / np.linalg.norm(cols, axis=0)).T)
+
+
 def trial_row(family: str, frame: frames.FrameMatrix, x,
               rep: conversion.KashinRepresentation, spec: quantize.QuantizerSpec,
               model: quantize.ErrorModel, up: uncertainty.UPParams) -> ExperimentRow:
@@ -78,17 +88,17 @@ class DecaySweep:
 
 def decay_sweep(family: frames.FrameFamily, delta: float, passes: int,
                 trials: int) -> DecaySweep:
-    """Encode ``trials`` random unit inputs with ``passes`` passes and
-    check each final residual against ``eta'^passes + 1e-13``.  Raises
-    :class:`~kashin.errors.InvalidConfig` when the frame's tightness
-    defect pushes eta' to 1 or beyond."""
+    """Encode ``trials`` normalized frame columns, drawn at random, with
+    ``passes`` passes and check each final residual against
+    ``eta'^passes + 1e-13``.  Raises :class:`~kashin.errors.InvalidConfig`
+    when the frame's tightness defect pushes eta' to 1 or beyond."""
     frame = frames.generate(family)
     eta, cfg = calibrate(frame, delta, passes, family.seed)
     eta_adj, _, level = conversion.adjusted_parameters(cfg)
     bound = eta_adj**passes + 1e-13
     rows = []
     worst = 0.0
-    for t, x in enumerate(_unit_inputs(frame.n, family.seed, trials)):
+    for t, x in enumerate(_column_inputs(frame, family.seed, trials)):
         rep = conversion.kashin_encode(frame, x, cfg)
         norms = rep.residual_norms
         worst = max(worst, *(b / a for a, b in zip((1.0,) + norms, norms)))

@@ -7,6 +7,13 @@ the geometric decay of the spreading iteration and, together with delta,
 fixes the achievable spreading level K.  This module measures eta for
 concrete frames (exactly for small problems, by random search otherwise)
 and converts calibrations into levels.
+
+A support S is scored by the top singular value of the column submatrix
+U_S.  Supports are scored in chunks: one gather builds a (B, n, k) block of
+submatrices, one batched matmul their k x k Gram matrices, and one stacked
+Hermitian eigen-solve their top eigenvectors v; the score is ``||U_S v||``.
+Random supports wider than ``_EXACT_SVD_WIDTH`` are scored one at a time by
+power iteration instead.
 """
 
 from __future__ import annotations
@@ -20,8 +27,11 @@ import numpy as np
 from . import frames, linalg
 from .errors import BudgetExceeded, InvalidParams
 
-# supports at most this wide get an exact SVD instead of power iteration
+# up_estimate scores supports at most this wide exactly, wider ones by
+# power iteration
 _EXACT_SVD_WIDTH = 32
+# entries of one gathered block of column submatrices in a stacked solve
+_CHUNK_ENTRIES = 1 << 16
 # support-enumeration budget for the exhaustive check
 _EXACT_BUDGET = 1_000_000
 
@@ -75,18 +85,29 @@ def support_width(delta: float, N: int) -> int:
     return width
 
 
-def _top_singular(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
-    """Largest singular value of ``sub`` with a right singular vector.
+def _top_singular(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest singular value of each matrix in a (B, n, k) stack, with a
+    right singular vector.
 
-    Supports up to ``_EXACT_SVD_WIDTH`` columns get a full SVD; wider ones
-    power iteration on the Gram matrix.  The power-path value is computed
-    as ``norm(sub @ v)`` for the final unit iterate v, so it is a genuine
-    lower bound on the true operator norm.
+    One batched matmul forms the k x k Gram matrices, in real arithmetic
+    when the block's imaginary part is exactly zero (see
+    :func:`linalg.real_if_exact`), and one stacked ``eigh`` gives each
+    Gram matrix's top unit eigenvector v.  The value is computed as
+    ``norm(sub @ v)``, so it is a genuine lower bound on the operator norm,
+    equal to it up to rounding.  Returns the (B,) values and the (B, k)
+    vectors.
     """
+    a = linalg.real_if_exact(block)
+    gram = a.conj().transpose(0, 2, 1) @ a
+    v = np.linalg.eigh(gram)[1][..., -1]
+    return np.linalg.norm(a @ v[..., None], axis=(1, 2)), v
+
+
+def _power_top(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
+    """Largest singular value of ``sub`` by power iteration on its Gram
+    matrix, with the final unit iterate v.  The value is ``norm(sub @ v)``,
+    a genuine lower bound on the operator norm that may undershoot it."""
     k = sub.shape[1]
-    if k <= _EXACT_SVD_WIDTH:
-        s, vh = np.linalg.svd(sub, full_matrices=False)[1:]
-        return float(s[0]), vh[0].conj()
     gram = sub.conj().T @ sub
     v = scratch_rng.standard_normal(k) + 1j * scratch_rng.standard_normal(k)
     v /= np.linalg.norm(v)
@@ -103,10 +124,33 @@ def _top_singular(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(sub @ v)), v
 
 
-def _embed(N: int, support: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _witness(N: int, support: np.ndarray, vec: np.ndarray, ratio) -> UPWitness:
     full = np.zeros(N, dtype=np.complex128)
     full[support] = vec
-    return full
+    return UPWitness(
+        support=tuple(int(i) for i in support), vector=full, ratio=float(ratio)
+    )
+
+
+def _chunk(frame: frames.FrameMatrix, k: int) -> int:
+    """Supports per stacked solve, so one gathered block stays within
+    ``_CHUNK_ENTRIES`` entries."""
+    return max(1, _CHUNK_ENTRIES // (frame.n * k))
+
+
+def _score(
+    frame: frames.FrameMatrix, supports: np.ndarray, best: UPWitness | None
+) -> UPWitness:
+    """Score a (B, k) array of supports in one stacked solve.
+
+    Returns the witness of the first maximum in ``supports`` when it
+    beats ``best`` strictly, and ``best`` otherwise.
+    """
+    ratios, vecs = _top_singular(frames.columns(frame, supports).transpose(1, 0, 2))
+    i = int(np.argmax(ratios))
+    if best is not None and ratios[i] <= best.ratio:
+        return best
+    return _witness(frame.N, supports[i], vecs[i], ratios[i])
 
 
 def up_check_exact(
@@ -115,10 +159,13 @@ def up_check_exact(
     """Exact worst-case synthesis norm over supports of width delta*N.
 
     Enumerates every support of exactly the allowed width (smaller
-    supports are dominated by larger ones containing them) and returns
-    the largest top singular value with its witness.  Ties keep the
-    lexicographically first support.  Raises :class:`BudgetExceeded` once
-    the support count passes a fixed budget; use :func:`up_estimate` then.
+    supports are dominated by larger ones containing them), in
+    lexicographic order and in chunks scored by one stacked Gram
+    eigen-solve each, and returns the largest top singular value with its
+    witness.  Every width is solved exactly, not by power iteration.  Ties
+    keep the lexicographically first support.  Raises
+    :class:`BudgetExceeded` once the support count passes a fixed budget;
+    use :func:`up_estimate` then.
     """
     k = support_width(delta, frame.N)
     total = math.comb(frame.N, k)
@@ -126,18 +173,12 @@ def up_check_exact(
         raise BudgetExceeded(
             f"C({frame.N}, {k}) = {total} supports exceeds the exact budget"
         )
-    g = linalg.rng_from_seed(0)
-    best_ratio = -1.0
+    combos = itertools.combinations(range(frame.N), k)
+    chunk = _chunk(frame, k)
     best = None
-    for combo in itertools.combinations(range(frame.N), k):
-        support = np.asarray(combo, dtype=np.int64)
-        value, vec = _top_singular(frames.columns(frame, support), g)
-        if value > best_ratio:
-            best_ratio = value
-            best = UPWitness(
-                support=combo, vector=_embed(frame.N, support, vec), ratio=value
-            )
-    return best_ratio, best
+    while batch := list(itertools.islice(combos, chunk)):
+        best = _score(frame, np.asarray(batch, dtype=np.int64), best)
+    return best.ratio, best
 
 
 def up_estimate(
@@ -146,27 +187,34 @@ def up_estimate(
     """Randomized lower estimate of the worst-case synthesis norm.
 
     Draws ``trials`` uniform supports of the allowed width and keeps the
-    largest top singular value seen.  Always a lower bound on the exact
-    answer.  The witness is captured at each improvement, so the reported
-    (support, vector, ratio) triple is self-consistent.
+    largest top singular value seen (ties keep the first draw).  Always a
+    lower bound on the exact answer.  Supports up to ``_EXACT_SVD_WIDTH``
+    wide are scored exactly, in chunks of one stacked Gram eigen-solve
+    each; wider ones by power iteration, whose start vectors come from the
+    same generator as the supports.  The witness is captured at each
+    improvement, so the reported (support, vector, ratio) triple is
+    self-consistent.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be positive, got {trials}")
     k = support_width(delta, frame.N)
     g = linalg.rng_from_seed(seed)
-    best_ratio = -1.0
     best = None
+    if k <= _EXACT_SVD_WIDTH:
+        chunk = _chunk(frame, k)
+        for start in range(0, trials, chunk):
+            draws = [
+                np.sort(g.permutation(frame.N)[:k])
+                for _ in range(min(chunk, trials - start))
+            ]
+            best = _score(frame, np.asarray(draws, dtype=np.int64), best)
+        return best.ratio, best
     for _ in range(trials):
         support = np.sort(g.permutation(frame.N)[:k]).astype(np.int64)
-        value, vec = _top_singular(frames.columns(frame, support), g)
-        if value > best_ratio:
-            best_ratio = value
-            best = UPWitness(
-                support=tuple(int(i) for i in support),
-                vector=_embed(frame.N, support, vec),
-                ratio=value,
-            )
-    return best_ratio, best
+        value, vec = _power_top(frames.columns(frame, support), g)
+        if best is None or value > best.ratio:
+            best = _witness(frame.N, support, vec, value)
+    return best.ratio, best
 
 
 def uup_to_up(epsilon: float, delta: float, n: int, N: int) -> UPParams:

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,29 @@ class TestFrameFiles:
         assert np.array_equal(back.omega, f.omega)
         assert formats.frame_to_bytes(back) == path.read_bytes()
 
+    @pytest.mark.parametrize("io", ["write", "read"])
+    def test_dense_io_peak_memory(self, tmp_path, io):
+        # writing may copy the matrix once into row-major order; reading
+        # fills the frame's own array from the file, and holds no other
+        # copy of the payload
+        f = frames.gen_random_orthogonal(256, 1024, 1)
+        path = tmp_path / "f.kfrm"
+        formats.write_frame(path, f)
+        tracemalloc.start()
+        try:
+            if io == "write":
+                formats.write_frame(path, f)
+            else:
+                back = formats.read_frame(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # slack for file buffers and the parsed header
+        assert peak <= f.matrix.nbytes + (1 << 16)
+        assert path.read_bytes() == formats.frame_to_bytes(f)
+        if io == "read":
+            assert np.array_equal(back.matrix, f.matrix)
+
     def test_bad_magic(self, frame_8x16):
         blob = bytearray(formats.frame_to_bytes(frame_8x16))
         blob[:4] = b"JUNK"
@@ -67,6 +91,16 @@ class TestFrameFiles:
             formats.frame_from_bytes(blob[:-8])
         with pytest.raises(FormatError):
             formats.frame_from_bytes(blob + b"\x00" * 4)
+
+    def test_length_checked_before_payload_is_allocated(self, tmp_path):
+        # the header claims a 2^20 x 2^20 dense matrix, 16 TiB
+        blob = struct.pack("<4sHBII", b"KFRM", 1, 0, 1 << 20, 1 << 20) + bytes(16)
+        with pytest.raises(FormatError):
+            formats.frame_from_bytes(blob)
+        path = tmp_path / "huge.kfrm"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            formats.read_frame(path)
 
     def test_inconsistent_dimensions(self):
         blob = struct.pack("<4sHBII", b"KFRM", 1, 0, 4, 2)

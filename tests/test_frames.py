@@ -172,6 +172,26 @@ class TestOperators:
         dft_rows = np.fft.fft(np.eye(64), norm="ortho")[fourier.omega]
         assert np.max(np.abs(frames.dense(fourier) - dft_rows)) <= 1e-14
 
+    @pytest.mark.parametrize("N", [7, 12, 480, 1024])
+    def test_fourier_columns_equal_direct_exponentials(self, N):
+        # gathering from the table of N roots of unity gives the same bits
+        # as evaluating every entry's exponential
+        f = frames.gen_partial_fourier(N, N // 2, 5, mode=frames.EXACT_N)
+        s = np.arange(N)
+        phase = np.outer(f.omega, s) % N
+        direct = np.exp((-2j * np.pi / N) * phase) / np.sqrt(N)
+        assert np.array_equal(frames.columns(f, s).view(np.uint64),
+                              direct.view(np.uint64))
+
+    def test_columns_of_a_support_block(self, frame_8x16):
+        fourier = frames.gen_partial_fourier(64, 32, 2, mode=frames.EXACT_N)
+        for f in (frame_8x16, fourier):
+            supports = np.array([[0, 3, 5], [1, 2, f.N - 1]])
+            block = frames.columns(f, supports)
+            assert block.shape == (f.n, 2, 3)
+            for b, s in enumerate(supports):
+                assert np.array_equal(block[:, b], frames.columns(f, s))
+
     def test_zero_maps_to_zero(self, frame_8x16):
         assert np.all(frames.analysis(frame_8x16, np.zeros(8)) == 0)
         assert np.all(frames.synthesis(frame_8x16, np.zeros(16)) == 0)

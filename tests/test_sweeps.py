@@ -24,6 +24,17 @@ def test_channel_cells_are_paired():
     assert [r.l2_error for r in first] != [r.l2_error for r in other]
 
 
+@pytest.mark.parametrize("n, N", [(64, 128), (128, 256)])
+def test_decay_sweep_inputs_clip(n, N):
+    # frame-column inputs leave a residual after the first pass, so the
+    # per-pass ratio is measured rather than rounding noise, and it stays
+    # within the adjusted constant
+    family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, n, N, 0)
+    sweep = sweeps.decay_sweep(family, 0.05, 20, 5)
+    assert 1e-6 < sweep.worst_ratio <= sweep.eta_adjusted
+    assert all(r.bound_ok for r in sweep.rows)
+
+
 def test_decay_sweep_refuses_frames_without_contraction():
     family = frames.FrameFamily(frames.GAUSSIAN, 16, 32, 0)
     with pytest.raises(InvalidConfig):

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kashin import frames, uncertainty
+from kashin import frames, linalg, uncertainty
 from kashin.errors import BudgetExceeded, InvalidParams
 
 from conftest import unit_vectors
@@ -89,6 +92,18 @@ class TestExactCheck:
         big, _ = uncertainty.up_check_exact(scaled, 2 / 16)
         assert big == pytest.approx(1.7 * base, abs=1e-10)
 
+    @pytest.mark.parametrize("n, N, k", [(4, 36, 33), (8, 35, 34)])
+    def test_exact_at_every_width(self, n, N, k):
+        # widths past the sampler's exact-SVD cutoff are still solved
+        # exactly, not by power iteration
+        f = frames.gen_random_orthogonal(n, N, 2)
+        eta, w = uncertainty.up_check_exact(f, k / N)
+        supports = np.array(list(itertools.combinations(range(N), k)))
+        subs = f.matrix[:, supports].transpose(1, 0, 2)
+        top = np.linalg.svd(subs, compute_uv=False)[:, 0].max()
+        assert abs(eta - top) <= 1e-12 * top
+        assert len(w.support) == k
+
     def test_budget_guard(self, frame_64x128):
         with pytest.raises(BudgetExceeded):
             uncertainty.up_check_exact(frame_64x128, 6 / 128)
@@ -122,6 +137,19 @@ class TestEstimate:
         with pytest.raises(InvalidParams):
             uncertainty.up_estimate(frame_8x16, 2 / 16, trials=0, seed=0)
 
+    @pytest.mark.parametrize("delta", [2 / 16, 5 / 16])
+    def test_scores_the_supports_drawn_one_by_one(self, frame_8x16, delta):
+        # the stacked path draws the same supports, in the same order, as
+        # one permutation per trial, and keeps the first best one
+        k = uncertainty.support_width(delta, 16)
+        g = linalg.rng_from_seed(8)
+        draws = [np.sort(g.permutation(16)[:k]) for _ in range(30)]
+        tops = [np.linalg.svd(frame_8x16.matrix[:, s], compute_uv=False)[0]
+                for s in draws]
+        eta, w = uncertainty.up_estimate(frame_8x16, delta, trials=30, seed=8)
+        assert abs(eta - max(tops)) <= 1e-12 * max(tops)
+        assert w.support in {tuple(int(i) for i in s) for s in draws}
+
     def test_wide_support_path_against_direct_svd(self):
         f = frames.gen_random_orthogonal(16, 64, 3)
         _check_wide_support(f, f.matrix)
@@ -144,6 +172,43 @@ def _check_wide_support(f, matrix):
     assert eta >= 0.98 * top
     realized = np.linalg.norm(frames.synthesis(f, w.vector))
     assert realized == pytest.approx(eta, abs=1e-9)
+
+
+class TestStackedSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 9), st.integers(1, 9)),
+        complex_valued=st.booleans(),
+    )
+    def test_matches_an_svd_oracle(self, seed, shape, complex_valued):
+        g = linalg.rng_from_seed(seed)
+        block = g.standard_normal(shape).astype(np.complex128)
+        if complex_valued:
+            block += 1j * g.standard_normal(shape)
+        ratios, vecs = uncertainty._top_singular(block)
+        top = np.linalg.svd(block, compute_uv=False)[:, 0]
+        assert ratios.shape == top.shape
+        assert vecs.shape == (shape[0], shape[2])
+        assert np.all(np.abs(ratios - top) <= 1e-12 * top)
+        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+        # the value is the norm the returned vector realizes
+        realized = np.linalg.norm(block @ vecs[..., None], axis=(1, 2))
+        assert np.all(np.abs(ratios - realized) <= 1e-12 * top)
+
+    @pytest.mark.parametrize("frame", [
+        frames.gen_random_orthogonal(8, 16, 11),
+        frames.gen_partial_fourier(16, 8, 4, mode=frames.EXACT_N),
+    ], ids=["dense", "fourier"])
+    def test_chunk_size_does_not_change_the_answer(self, frame, monkeypatch):
+        def run():
+            exact = uncertainty.up_check_exact(frame, 3 / 16)
+            sampled = uncertainty.up_estimate(frame, 3 / 16, trials=200, seed=6)
+            return [(eta, w.support) for eta, w in (exact, sampled)]
+
+        whole = run()
+        monkeypatch.setattr(uncertainty, "_CHUNK_ENTRIES", 1)
+        assert run() == whole
 
 
 class TestConversions:
