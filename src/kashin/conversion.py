@@ -134,7 +134,8 @@ class KashinRepresentation:
         if self.iterations_used < 0:
             raise InvalidParams("iterations_used must be >= 0")
         cap = self.level_K / math.sqrt(a.size) * self.input_norm
-        if float(np.max(np.abs(a))) > cap * (1.0 + _LEVEL_SLACK) + 1e-12:
+        # written so that a NaN coefficient fails it too
+        if not float(np.max(np.abs(a))) <= cap * (1.0 + _LEVEL_SLACK) + 1e-12:
             raise ContractViolation(
                 "coefficients exceed the certified level bound"
             )

@@ -158,7 +158,8 @@ def representation_from_bytes(blob: bytes) -> KashinRepresentation:
         )
     a = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     cap = level_K / math.sqrt(N) * input_norm
-    if float(np.max(np.abs(a))) > cap * (1.0 + 1e-10) + 1e-12:
+    # written so that a NaN coefficient fails it too
+    if not float(np.max(np.abs(a))) <= cap * (1.0 + 1e-10) + 1e-12:
         raise FormatError("coefficients exceed the certified level bound")
     return KashinRepresentation(
         coefficients=a,

@@ -118,9 +118,12 @@ def quantize_coeffs(
     (counted and logged — a correctly sized range never clamps).
     """
     v = _components(linalg.as_vector(a), spec)
-    raw = np.floor((v + spec.range_half_width) / spec.step).astype(np.int64)
-    codes = np.clip(raw, 0, spec.levels_L - 1)
-    clamped = int(np.count_nonzero(raw != codes))
+    # clamp before the integer cast: a cell index past int64's range would
+    # otherwise wrap to INT64_MIN and land in cell 0
+    raw = np.floor((v + spec.range_half_width) / spec.step)
+    cells = np.clip(raw, 0, spec.levels_L - 1)
+    clamped = int(np.count_nonzero(raw != cells))
+    codes = cells.astype(np.int64)
     if clamped:
         _log.warning(
             "clamped %d of %d components to the quantizer range", clamped, v.size
@@ -199,8 +202,8 @@ def _bit_flip_damage(
     g = linalg.rng_from_seed(model.seed)
     pos = g.integers(0, flat.size, model.flip_count)
     bit = g.integers(0, bits, model.flip_count)
-    for p, b in zip(pos, bit):
-        flat[p] ^= np.int64(1) << np.int64(b)
+    # unbuffered, so a position drawn twice flips twice
+    np.bitwise_xor.at(flat, pos, np.left_shift(np.int64(1), bit))
     per_coeff = 2 if quantizer.complex_mode else 1
     touched = np.unique(pos // per_coeff)
     # flipped codes may leave [0, L); extrapolate the midpoint grid, then

@@ -229,6 +229,26 @@ class TestCodecCommands:
         ]) == 0
         assert formats.read_vector(back).shape == (8,)
 
+    def test_encode_on_tight_frame_runs_no_eigen_solve(self, tmp_path,
+                                                       monkeypatch):
+        frame = tmp_path / "f.kfrm"
+        assert cli.run([
+            "gen-frame", "--family", "orthogonal", "--n", "64", "--N", "128",
+            "--seed", "5", "--out", str(frame),
+        ]) == 0
+        vec, _ = _write_input(tmp_path, 64)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("encode ran an eigen-solve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert cli.run([
+            "encode", str(frame), "--in", str(vec), "--eta", "0.95",
+            "--delta", "0.05", "--iters", "8",
+            "--out", str(tmp_path / "c.kcof"),
+        ]) == 0
+
     def test_binary_vector_format_flag(self, tmp_path, frame_file):
         g = linalg.rng_from_seed(9)
         x = g.standard_normal(8) + 1j * g.standard_normal(8)

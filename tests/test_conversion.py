@@ -496,6 +496,16 @@ class TestRepresentationContainer:
                 iterations_used=1,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan),
+                                     math.inf, -math.inf])
+    def test_non_finite_coefficient_breaks_the_certificate(self, bad):
+        with pytest.raises(ContractViolation):
+            conversion.KashinRepresentation(
+                coefficients=np.array([bad, 0.1], dtype=np.complex128),
+                level_K=10.0, input_norm=1.0, residual_bound=0.0,
+                iterations_used=1,
+            )
+
     def test_field_validation(self):
         good = np.array([0.1, 0.1], dtype=np.complex128)
         with pytest.raises(InvalidParams):

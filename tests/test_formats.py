@@ -172,6 +172,18 @@ class TestCoefficientFiles:
         with pytest.raises(FormatError):
             formats.representation_from_bytes(header + payload)
 
+    @pytest.mark.parametrize("bad", [
+        complex(math.nan, 0.0), complex(0.0, math.nan),
+        complex(math.inf, 0.0), complex(0.0, -math.inf),
+    ])
+    def test_non_finite_coefficient_fails_the_level_check(self, bad):
+        # NaN compares False against any cap, so the check must be written
+        # to fail unless the peak is provably within it
+        header = struct.pack("<4sHIddd", b"KCOF", 1, 4, 10.0, 1.0, 0.0)
+        payload = np.array([bad, 0.1, 0, 0], dtype="<c16").tobytes()
+        with pytest.raises(FormatError, match="certified level bound"):
+            formats.representation_from_bytes(header + payload)
+
 
 class TestVectorFiles:
     def test_ascii_round_trip_exact(self, tmp_path):

@@ -253,6 +253,26 @@ class TestMeasurements:
                 assert abs(eps - oracle) <= 1e-12 * oracle
                 assert f.tightness_eps == eps
 
+    @pytest.mark.parametrize("n, N", [(64, 128), (256, 512)])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_tight_frames_certified_without_eigen_solve(
+            self, monkeypatch, n, N, complex_valued):
+        g = linalg.rng_from_seed(n + complex_valued)
+        z = g.standard_normal((N, n))
+        if complex_valued:
+            z = z + 1j * g.standard_normal((N, n))
+        u = np.linalg.qr(z)[0].conj().T.astype(np.complex128)
+        oracle = _svd_eps(u)
+        f = frames.FrameMatrix(n=n, N=N, kind=frames.DENSE, matrix=u)
+
+        def refuse(a):
+            raise AssertionError("measured a tight frame by eigen-solve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        eps = frames.measure_tightness(f)
+        # an upper bound on the defect, above it by 5e-10 at most
+        assert oracle <= eps <= 5e-10
+
     def test_duplicated_row_measures_defect_one(self):
         # a repeated row makes sigma_min = 0; rounding can put 1 + mu just
         # below zero, which must clamp to sigma = 0 rather than give NaN

@@ -88,6 +88,17 @@ class TestQuantizeHandValues:
         assert a_hat == pytest.approx(np.array([0.75, -0.75, 0.75]))
         assert "clamped" in caplog.text
 
+    def test_huge_components_clamp_to_edge_cells(self, caplog):
+        # 1e10 / W is about 5e19 cells, past int64's range: the index must
+        # be clamped before the integer cast, not wrap to cell 0
+        spec = quantize.QuantizerSpec(levels_L=4, range_half_width=1e-10)
+        with caplog.at_level(logging.WARNING, logger="kashin.quantize"):
+            codes, a_hat = quantize.quantize_coeffs(np.array([1e10, -1e10]),
+                                                    spec)
+        assert codes.tolist() == [3, 0]
+        assert a_hat.real == pytest.approx([7.5e-11, -7.5e-11], rel=1e-12)
+        assert "clamped 2 of 2" in caplog.text
+
     def test_in_range_values_stay_silent(self, caplog):
         spec = quantize.QuantizerSpec(levels_L=4, range_half_width=1.0)
         with caplog.at_level(logging.WARNING, logger="kashin.quantize"):
@@ -223,6 +234,34 @@ class TestErrorModels:
         untouched = np.setdiff1d(np.arange(64), diff)
         assert np.array_equal(out[untouched], a_hat[untouched])
         assert np.max(np.abs(out[diff])) <= 1.0 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_repeated_flip_positions_flip_twice(self, complex_mode):
+        # far more flips than code bits, so positions (and bits) repeat;
+        # the result must match flipping one bit at a time in draw order
+        spec = quantize.QuantizerSpec(
+            levels_L=16, range_half_width=1.0, complex_mode=complex_mode
+        )
+        g = linalg.rng_from_seed(23)
+        a = 0.4 * (g.standard_normal(8) + 1j * g.standard_normal(8))
+        flips = 50 * 8 * 2 * 4
+        model = quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=flips,
+                                    seed=29)
+        out = quantize.apply_error_model(a, model, clamp_W=1.0, quantizer=spec)
+
+        codes, _ = quantize.quantize_coeffs(a, spec)
+        flat = codes.ravel().copy()
+        r = linalg.rng_from_seed(29)
+        pos = r.integers(0, flat.size, flips)
+        bit = r.integers(0, 4, flips)
+        assert np.unique(pos).size < pos.size
+        for p_, b in zip(pos, bit):
+            flat[p_] ^= 1 << int(b)
+        mid = -1.0 + (flat.reshape(codes.shape) + 0.5) * spec.step
+        want = mid[:, 0] + 1j * mid[:, 1] if complex_mode else mid + 0j
+        over = np.abs(want) > 1.0
+        want[over] = want[over] / np.abs(want[over])
+        assert np.array_equal(out, want)
 
     def test_bit_flip_needs_quantizer(self):
         model = quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=1)
