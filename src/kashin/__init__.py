@@ -10,8 +10,6 @@ from .conversion import (
     effective_level,
     kashin_decode,
     kashin_encode,
-    required_iterations,
-    truncate_scalar,
 )
 from .errors import KashinError
 from .frames import (
@@ -39,7 +37,6 @@ from .quantize import (
 from .uncertainty import (
     UPParams,
     UPWitness,
-    kashin_level,
     theoretical_eta,
     up_check_exact,
     up_estimate,
@@ -73,14 +70,11 @@ __all__ = [
     "generate",
     "kashin_decode",
     "kashin_encode",
-    "kashin_level",
     "measure_tightness",
     "quantize_coeffs",
-    "required_iterations",
     "separation_experiment",
     "synthesis",
     "theoretical_eta",
-    "truncate_scalar",
     "up_check_exact",
     "up_estimate",
     "uup_to_up",

@@ -189,20 +189,14 @@ def verify_truncation_map(
             )
 
 
-def truncate_scalar(z: complex, M: float) -> complex:
-    """Clip ``z`` to magnitude at most M, preserving its phase; 0 maps
-    to 0."""
-    if not M > 0.0:
-        raise InvalidParams(f"clip level must be positive, got {M}")
-    return M * default_scalar_map(z / M)
-
-
 def _truncate_block(b: np.ndarray, M: float, spec: TruncationSpec) -> np.ndarray:
     if spec.mode == APPROXIMATE and spec.scalar_map is not None:
-        return np.array(
+        out = np.array(
             [M * complex(spec.scalar_map(complex(z / M))) for z in b],
             dtype=np.complex128,
         )
+        # a map that keeps real coefficients real keeps them float64
+        return out if np.iscomplexobj(b) else linalg.real_if_exact(out)
     mags = np.abs(b)
     scale = np.ones_like(mags)
     over = mags > M
@@ -254,31 +248,29 @@ def adjusted_parameters(cfg: ConversionConfig) -> tuple[float, float, float]:
     return eta, mult, mult / ((1.0 - eta) * math.sqrt(cfg.up.delta))
 
 
-def required_iterations(eta_prime: float, N: int, K_prime: float) -> int:
-    """Smallest pass count r with eta'^r <= K'/sqrt(N) (at least 1).
-
-    This is the pass count after which one unclipped completion pass
-    keeps the level below 2K'.  Ratios at exact powers of eta' round to
-    the smaller r.
-    """
-    if not 0.0 < eta_prime < 1.0:
-        raise InvalidParams(f"eta_prime must lie in (0, 1), got {eta_prime}")
-    if N < 1 or not K_prime > 0.0:
-        raise InvalidParams("need N >= 1 and K_prime > 0")
-    ratio = K_prime / math.sqrt(N)
-    if ratio >= 1.0:
-        return 1
-    return max(1, math.ceil(math.log(ratio) / math.log(eta_prime) - 1e-12))
-
-
-def _zero_representation(N: int, level: float) -> KashinRepresentation:
+def _zero_representation(N: int, level: float, dtype) -> KashinRepresentation:
     return KashinRepresentation(
-        coefficients=np.zeros(N, dtype=np.complex128),
+        coefficients=np.zeros(N, dtype=dtype),
         level_K=level,
         input_norm=0.0,
         residual_bound=0.0,
         iterations_used=0,
     )
+
+
+def _accumulate(a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """``a + b``, added in place when ``a`` can hold the sum.
+
+    ``a`` is None before the first pass, and the sum starts from zeros of
+    ``b``'s dtype, so coefficients stay float64 until a pass adds complex
+    ones.
+    """
+    if a is None:
+        a = np.zeros(b.shape, dtype=b.dtype)
+    elif np.iscomplexobj(b) and not np.iscomplexobj(a):
+        return a + b
+    a += b
+    return a
 
 
 def kashin_encode(
@@ -294,7 +286,10 @@ def kashin_encode(
     the residual is negligible.  With ``exact_last_iteration`` one extra
     unclipped pass zeroes the residual (up to the frame's tightness
     defect), and both the certified level and residual bound account for
-    it.  Raises :class:`NonConvergence` when a measured per-pass
+    it.  A real (float64) frame keeps real data real: the coefficients are
+    float64 unless the data has a nonzero imaginary part or a scalar map
+    returns complex values; a complex frame works in complex arithmetic
+    throughout.  Raises :class:`NonConvergence` when a measured per-pass
     contraction exceeds eta' + 0.05 — the supplied (eta, delta) do not
     hold for this frame — and :class:`InvalidParams` when the norm of a
     finite input exceeds the float64 range.
@@ -304,6 +299,10 @@ def kashin_encode(
         raise InvalidParams(
             f"frame lives in C^{f.n}, vector has length {v.shape[0]}"
         )
+    # a complex frame's residual is complex from the first pass on, so the
+    # input is taken as complex up front
+    if f.kind == frames.PARTIAL_FOURIER or np.iscomplexobj(f.matrix):
+        v = v.astype(np.complex128, copy=False)
     if cfg.frame_epsilon < f.tightness_eps - 1e-9:
         raise InvalidConfig(
             f"config certifies tightness defect {cfg.frame_epsilon} but the "
@@ -321,7 +320,7 @@ def kashin_encode(
     if not math.isfinite(norm):
         raise InvalidParams("input norm exceeds the float64 range")
     if norm == 0.0:
-        return _zero_representation(f.N, level)
+        return _zero_representation(f.N, level, v.dtype)
     if cfg.iterations is not None:
         r = cfg.iterations
     else:
@@ -333,7 +332,7 @@ def kashin_encode(
         )
 
     M = mult * norm / math.sqrt(cfg.up.delta * f.N)
-    a = np.zeros(f.N, dtype=np.complex128)
+    a = None
     residual = v.copy()
     prev = norm
     norms: list[float] = []
@@ -341,7 +340,7 @@ def kashin_encode(
     for _ in range(r):
         tx, b_hat = truncation_operator(f, residual, M, cfg.truncation)
         residual = residual - tx
-        a += b_hat
+        a = _accumulate(a, b_hat)
         rn = linalg.norm2(residual)
         norms.append(rn)
         passes += 1
@@ -360,7 +359,7 @@ def kashin_encode(
     if cfg.exact_last_iteration:
         entering = prev
         b = frames.analysis(f, residual)
-        a += b
+        a = _accumulate(a, b)
         residual = residual - frames.synthesis(f, b)
         rn = linalg.norm2(residual)
         norms.append(rn)

@@ -2,8 +2,9 @@
 experiment CSV.
 
 Everything binary is little-endian with float64 payloads.  Frame files
-(magic ``KFRM``) store either the dense matrix row-major or the sorted
-row-index set of a Fourier row selection; coefficient files (magic
+(magic ``KFRM``) store either the dense matrix row-major (complex (re, im)
+pairs, or float64 for a real matrix) or the sorted row-index set of a
+Fourier row selection; coefficient files (magic
 ``KCOF``) store the certified level, input norm and residual bound next
 to the coefficients, and readers re-check the level bound so a corrupt
 file cannot smuggle an invalid certificate.  Measured tightness and the
@@ -33,8 +34,13 @@ FORMAT_VERSION = 1
 _FRAME_HEADER = struct.Struct("<4sHBII")
 _COEFF_HEADER = struct.Struct("<4sHIddd")
 
-_KIND_CODES = {frames.DENSE: 0, frames.PARTIAL_FOURIER: 1}
-_KIND_NAMES = {0: frames.DENSE, 1: frames.PARTIAL_FOURIER}
+# kind code -> (frame kind, payload dtype); a dense frame's code follows
+# its matrix dtype
+_KINDS = {
+    0: (frames.DENSE, "<c16"),
+    1: (frames.PARTIAL_FOURIER, "<u4"),
+    2: (frames.DENSE, "<f8"),
+}
 
 ASCII = "ascii"
 BINARY = "bin"
@@ -46,14 +52,20 @@ CSV_HEADER = [
 
 
 def _frame_parts(frame: frames.FrameMatrix) -> tuple[bytes, np.ndarray]:
-    """Header and payload array of a frame file; dense matrices row-major
-    as (re, im) float64 pairs, row selections as sorted u32 indices."""
-    header = _FRAME_HEADER.pack(
-        FRAME_MAGIC, FORMAT_VERSION, _KIND_CODES[frame.kind], frame.n, frame.N
-    )
-    if frame.kind == frames.DENSE:
-        return header, np.ascontiguousarray(frame.matrix, dtype="<c16")
-    return header, frame.omega.astype("<u4")
+    """Header and payload array of a frame file.
+
+    Dense matrices are row-major, as (re, im) float64 pairs under kind
+    code 0, or as float64 under kind code 2 when the frame stores a real
+    matrix; row selections (kind code 1) are sorted u32 indices.
+    """
+    if frame.kind == frames.PARTIAL_FOURIER:
+        code, payload = 1, frame.omega.astype("<u4")
+    elif np.iscomplexobj(frame.matrix):
+        code, payload = 0, np.ascontiguousarray(frame.matrix, dtype="<c16")
+    else:
+        code, payload = 2, np.ascontiguousarray(frame.matrix, dtype="<f8")
+    header = _FRAME_HEADER.pack(FRAME_MAGIC, FORMAT_VERSION, code, frame.n, frame.N)
+    return header, payload
 
 
 def frame_to_bytes(frame: frames.FrameMatrix) -> bytes:
@@ -71,9 +83,11 @@ def _read_frame(fh) -> frames.FrameMatrix:
     """Parse a frame file from a seekable binary stream.
 
     The payload is read straight into the frame's own array, its only
-    copy, once the header and the stream's length agree.  The format does
-    not carry the tightness defect; the frame measures it on first read of
-    ``tightness_eps``.
+    copy, once the header and the stream's length agree.  A kind-0
+    (complex) payload whose imaginary part is exactly zero becomes a
+    float64 frame, as every real matrix does (see
+    :class:`frames.FrameMatrix`).  The format does not carry the tightness
+    defect; the frame measures it on first read of ``tightness_eps``.
     """
     head = fh.read(_FRAME_HEADER.size)
     if len(head) < _FRAME_HEADER.size:
@@ -83,19 +97,17 @@ def _read_frame(fh) -> frames.FrameMatrix:
         raise FormatError(f"bad magic {magic!r}; expected {FRAME_MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported frame format version {version}")
-    if kind_code not in _KIND_NAMES:
+    if kind_code not in _KINDS:
         raise FormatError(f"unknown frame kind code {kind_code}")
     if not 1 <= n <= N:
         raise FormatError(f"inconsistent header dimensions n={n} N={N}")
     size = fh.seek(0, io.SEEK_END) - _FRAME_HEADER.size
     fh.seek(_FRAME_HEADER.size)
-    kind = _KIND_NAMES[kind_code]
+    kind, dtype = _KINDS[kind_code]
     if kind == frames.DENSE:
-        matrix = _read_payload(fh, size, "dense", "<c16", (n, N))
-        return frames.FrameMatrix(
-            n=n, N=N, kind=kind, matrix=matrix.astype(np.complex128, copy=False)
-        )
-    omega = _read_payload(fh, size, "index", "<u4", (n,)).astype(np.int64)
+        matrix = _read_payload(fh, size, "dense", dtype, (n, N))
+        return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
+    omega = _read_payload(fh, size, "index", dtype, (n,)).astype(np.int64)
     if np.any(omega >= N) or np.any(np.diff(omega) <= 0):
         raise FormatError("row indices must be sorted, distinct, and in [0, N)")
     return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
@@ -103,7 +115,8 @@ def _read_frame(fh) -> frames.FrameMatrix:
 
 def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:
     """The rest of ``fh``, ``size`` bytes long, read into a new array of
-    ``dtype`` and ``shape``; the array is allocated only once ``size`` is
+    ``dtype`` and ``shape`` and returned in native byte order (a copy only
+    on big-endian hosts); the array is allocated only once ``size`` is
     what the shape needs, so a corrupt header cannot ask for more memory
     than the file holds."""
     expected = np.dtype(dtype).itemsize * math.prod(shape)
@@ -112,7 +125,7 @@ def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:
     out = np.empty(shape, dtype=dtype)
     if fh.readinto(out.data.cast("B")) != expected:
         raise FormatError(f"{what} payload ended while it was read")
-    return out
+    return out.astype(out.dtype.newbyteorder("="), copy=False)
 
 
 def representation_to_bytes(rep: KashinRepresentation) -> bytes:

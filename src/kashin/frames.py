@@ -1,6 +1,7 @@
 """Frame families and their operators.
 
-A frame is stored as the (n, N) matrix whose columns are the frame vectors.
+A frame is stored as the (n, N) matrix whose columns are the frame vectors,
+float64 when its imaginary part is exactly zero and complex128 otherwise.
 Orthonormal rows mean the columns form a Parseval (tight) frame: analysis
 followed by synthesis reproduces the input exactly.  Partial Fourier frames
 never materialize their matrix; both operators are routed through the
@@ -44,6 +45,10 @@ _ROW_BLOCK = 64
 class FrameMatrix:
     """A frame of N vectors in C^n, dense or as a DFT row selection.
 
+    A dense matrix whose imaginary part is exactly zero is stored as
+    float64 (see :func:`linalg.real_if_exact`), so real frames read and
+    multiply half the bytes of complex storage.
+
     ``tightness_eps`` is the deviation of the frame operator's singular
     values from 1, measured by :func:`measure_tightness` on first read and
     cached, so every instance carries its defect (exact, or for nearly
@@ -63,6 +68,7 @@ class FrameMatrix:
         if self.kind == DENSE:
             if self.matrix is None or self.matrix.shape != (self.n, self.N):
                 raise InvalidParams("dense frame needs an (n, N) coefficient matrix")
+            object.__setattr__(self, "matrix", linalg.real_if_exact(self.matrix))
         elif self.kind == PARTIAL_FOURIER:
             om = self.omega
             if om is None or om.shape != (self.n,):
@@ -127,9 +133,8 @@ def measure_tightness(frame: FrameMatrix) -> float:
     Returns ``max(1 - sigma_min, sigma_max - 1)``, which is 0 exactly when
     the rows are orthonormal.  Dense frames work on the n x n Gram matrix
     ``E = U U* - I`` (n <= N, so it is the smaller side), formed in real
-    arithmetic when the matrix's imaginary part is exactly zero (see
-    :func:`linalg.real_if_exact`).  By Gershgorin every eigenvalue mu of E
-    lies in [-r, r] for the largest absolute row sum r, so
+    arithmetic for real (float64) frames.  By Gershgorin every eigenvalue
+    mu of E lies in [-r, r] for the largest absolute row sum r, so
     ``sigma^2 = 1 + mu`` lies in [1 - r, 1 + r] and the defect is at most
     ``1 - sqrt(1 - r) = r / (1 + sqrt(1 - r))``.  When r <= 1e-9 that
     certified upper bound is returned, and it exceeds the exact defect by
@@ -140,7 +145,7 @@ def measure_tightness(frame: FrameMatrix) -> float:
     """
     if frame.kind == PARTIAL_FOURIER:
         return 0.0
-    u = linalg.real_if_exact(frame.matrix)
+    u = frame.matrix
     gram = u @ u.conj().T
     gram[np.diag_indices_from(gram)] -= 1.0
     r = max(
@@ -205,7 +210,7 @@ def gen_subgaussian(n: int, N: int, dist: str, seed: int) -> FrameMatrix:
         phi = linalg.sample_bernoulli(n, N, seed)
     else:
         raise InvalidParams(f"unknown entry distribution {dist!r}")
-    u = phi / np.sqrt(N)
+    u = phi * (1.0 / math.sqrt(N))
     return FrameMatrix(n=n, N=N, kind=DENSE, matrix=u)
 
 
@@ -219,29 +224,58 @@ def generate(family: FrameFamily) -> FrameMatrix:
     return gen_subgaussian(family.n, family.N, family.tag, family.seed)
 
 
+def _dense_product(u: np.ndarray, v: np.ndarray, gemv) -> np.ndarray:
+    """``gemv(v)``, a product with the frame matrix ``u``, kept in BLAS.
+
+    Same-dtype operands go straight through, and a complex matrix takes
+    the vector as complex128.  A real matrix applies to complex data as two
+    real products, real part and imaginary part, and skips the imaginary
+    one when it is exactly zero (the result is then float64): numpy's
+    mixed ``float64 @ complex128`` would copy the whole matrix to complex
+    and multiply it outside BLAS.  The parts are copied contiguous, so the
+    real product is the same GEMV, with the same bits, as on a float64
+    vector holding them.
+    """
+    if np.iscomplexobj(u):
+        return gemv(v.astype(np.complex128, copy=False))
+    if not np.iscomplexobj(v):
+        return gemv(v)
+    re = gemv(np.ascontiguousarray(v.real))
+    if not np.any(v.imag):
+        return re
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = gemv(np.ascontiguousarray(v.imag))
+    return out
+
+
 def analysis(frame: FrameMatrix, x) -> np.ndarray:
     """Coefficients ``<x, u_i>`` against every frame vector (length N).
 
-    For partial Fourier frames this is the inverse unitary DFT of ``x``
-    zero-extended onto the selected row positions, so no matrix is formed.
+    Real frames give float64 coefficients for real data (see
+    :func:`_dense_product`).  For partial Fourier frames this is the
+    inverse unitary DFT of ``x`` zero-extended onto the selected row
+    positions, so no matrix is formed.
     """
     v = linalg.as_vector(x)
     if v.shape[0] != frame.n:
         raise DimensionMismatch(f"frame lives in C^{frame.n}, vector has length {v.shape[0]}")
     if frame.kind == DENSE:
-        return (v.conj() @ frame.matrix).conj()
+        u = frame.matrix
+        return _dense_product(u, v, lambda w: (w.conj() @ u).conj())
     z = np.zeros(frame.N, dtype=np.complex128)
     z[frame.omega] = v
     return linalg.idft(z)
 
 
 def synthesis(frame: FrameMatrix, coeffs) -> np.ndarray:
-    """Weighted sum of frame vectors (length n), the adjoint of analysis."""
+    """Weighted sum of frame vectors (length n), the adjoint of analysis;
+    float64 for a real frame and real coefficients."""
     a = linalg.as_vector(coeffs)
     if a.shape[0] != frame.N:
         raise DimensionMismatch(f"frame has {frame.N} vectors, got {a.shape[0]} coefficients")
     if frame.kind == DENSE:
-        return frame.matrix @ a
+        return _dense_product(frame.matrix, a, frame.matrix.__matmul__)
     return linalg.dft(a)[frame.omega]
 
 

@@ -1,8 +1,10 @@
-"""Complex linear-algebra kernels shared by the rest of the package.
+"""Linear-algebra kernels shared by the rest of the package.
 
 Provides the unitary discrete Fourier transform (numpy's FFT at every
 length), row orthonormalization with a fixed sign convention, seeded matrix
-sampling, and small vector helpers with strict shape checking.
+sampling, and small vector helpers with strict shape checking.  Real data
+stays real: arrays are float64 when their input is real and complex128
+otherwise, and real-family samples are float64.
 
 Randomness policy: every sampler takes an unsigned 64-bit seed and feeds it
 to numpy's default PCG64 generator via :func:`rng_from_seed`.  The generator
@@ -29,9 +31,17 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _float_or_complex(x) -> np.ndarray:
+    """``x`` as a float64 array when its entries are real (bool, integer or
+    floating), as a complex128 array otherwise."""
+    a = np.asarray(x)
+    return np.asarray(a, dtype=np.float64 if a.dtype.kind in "biuf" else np.complex128)
+
+
 def as_vector(x) -> np.ndarray:
-    """Coerce ``x`` to a nonempty, finite complex128 1-d array."""
-    v = np.asarray(x, dtype=np.complex128)
+    """Coerce ``x`` to a nonempty, finite 1-d array, float64 for real
+    input and complex128 otherwise."""
+    v = _float_or_complex(x)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionMismatch(f"expected a nonempty 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -40,8 +50,9 @@ def as_vector(x) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a nonempty, finite complex128 2-d array."""
-    a = np.asarray(m, dtype=np.complex128)
+    """Coerce ``m`` to a nonempty, finite 2-d array, float64 for real
+    input and complex128 otherwise."""
+    a = _float_or_complex(m)
     if a.ndim != 2 or min(a.shape) < 1:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -64,14 +75,14 @@ def idft(y) -> np.ndarray:
 
 
 def real_if_exact(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, or a contiguous float64 copy of its real part when its
-    imaginary part is exactly zero.
+    """``a`` itself when it is real or has a nonzero imaginary part, else a
+    contiguous float64 copy of its real part.
 
     Real arithmetic does a quarter of the flops of complex arithmetic on
     the same data.  The copy is contiguous because a strided ``.real`` view
     makes ``matmul`` skip BLAS.
     """
-    if np.any(a.imag):
+    if not np.iscomplexobj(a) or np.any(a.imag):
         return a
     return np.ascontiguousarray(a.real)
 
@@ -85,8 +96,8 @@ def qr_orthonormalize_rows(m) -> np.ndarray:
     under which iid Gaussian input rows become uniformly (Haar) distributed
     orthonormal rows.  When the imaginary part of ``m`` is exactly zero
     (every Gaussian or Bernoulli sample), the factorization runs in real
-    arithmetic on the real part (see :func:`real_if_exact`); the result is
-    complex128 either way.
+    arithmetic on the real part (see :func:`real_if_exact`) and the result
+    is float64; otherwise it is complex128.
 
     Raises
     ------
@@ -108,7 +119,7 @@ def qr_orthonormalize_rows(m) -> np.ndarray:
             f"numerical rank below {rows}: pivot {pivots.min():.3e} under tolerance {tol:.3e}"
         )
     phase = diag / pivots
-    return np.asarray((q * phase).conj().T, dtype=np.complex128)
+    return (q * phase).conj().T
 
 
 def _check_sample_shape(rows: int, cols: int) -> None:
@@ -117,18 +128,18 @@ def _check_sample_shape(rows: int, cols: int) -> None:
 
 
 def sample_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Matrix of iid real N(0, 1) entries in complex storage."""
+    """float64 matrix of iid N(0, 1) entries."""
     _check_sample_shape(rows, cols)
     g = rng_from_seed(seed)
-    return g.standard_normal((rows, cols)).astype(np.complex128)
+    return g.standard_normal((rows, cols))
 
 
 def sample_bernoulli(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Matrix of iid symmetric +/-1 entries in complex storage."""
+    """float64 matrix of iid symmetric +/-1 entries."""
     _check_sample_shape(rows, cols)
     g = rng_from_seed(seed)
     signs = g.integers(0, 2, size=(rows, cols)).astype(np.float64)
-    return (2.0 * signs - 1.0).astype(np.complex128)
+    return 2.0 * signs - 1.0
 
 
 def norm2(x) -> float:
@@ -137,8 +148,10 @@ def norm2(x) -> float:
     Components are divided by the largest real or imaginary magnitude
     before squaring, so a finite vector never overflows on the way; the
     result is ``inf`` only when the norm itself exceeds the float64 range.
+    Real input is summed as complex with zero imaginary parts, so a real
+    vector and its complex copy give the same bits.
     """
-    parts = np.ascontiguousarray(as_vector(x)).view(np.float64)
+    parts = np.ascontiguousarray(as_vector(x), dtype=np.complex128).view(np.float64)
     peak = float(np.abs(parts).max())
     if peak == 0.0:
         return 0.0

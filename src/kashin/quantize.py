@@ -40,8 +40,9 @@ class QuantizerSpec:
     component.
 
     ``complex_mode`` quantizes real and imaginary parts independently
-    (codes per coefficient become a pair); otherwise only the real part
-    is kept.  Cell midpoints are the reconstruction values, so each
+    (codes per coefficient become a pair) and reconstructs complex128;
+    otherwise only the real part is kept and reconstructed as float64.
+    Cell midpoints are the reconstruction values, so each
     in-range component moves by at most ``step/2 = W/L``.
     """
 
@@ -89,6 +90,8 @@ def has_imaginary_mass(a, input_norm: float) -> bool:
     """Whether coefficients need complex mode: ``max|Im a|`` exceeds
     ``1e-12 * max(input_norm, 1)``, so a real-mode quantizer would drop
     more than rounding noise."""
+    if not np.iscomplexobj(a):
+        return False
     return bool(np.abs(np.imag(a)).max() > 1e-12 * max(input_norm, 1.0))
 
 
@@ -101,7 +104,7 @@ def _components(a: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 def _assemble(mid: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     if spec.complex_mode:
         return (mid[:, 0] + 1j * mid[:, 1]).astype(np.complex128)
-    return mid.astype(np.complex128)
+    return mid
 
 
 def _midpoints(codes: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -114,7 +117,8 @@ def quantize_coeffs(
     """Quantize a coefficient vector; returns ``(codes, a_hat)``.
 
     Codes are cell indices in [0, L); ``a_hat`` holds the corresponding
-    midpoints.  Components outside [-W, W] are clamped to the edge cells
+    midpoints, complex128 in complex mode and float64 in real mode.
+    Components outside [-W, W] are clamped to the edge cells
     (counted and logged — a correctly sized range never clamps).
     """
     v = _components(linalg.as_vector(a), spec)
@@ -242,7 +246,11 @@ def _apply_damage(
     else:
         radius = clamp_W * np.sqrt(g.random(idx.size))
         angle = 2.0 * np.pi * g.random(idx.size)
-        damaged[idx] = radius * np.exp(1j * angle)
+        # real coefficients get the real part of the same draw
+        damaged[idx] = (
+            radius * np.exp(1j * angle) if np.iscomplexobj(a)
+            else radius * np.cos(angle)
+        )
     return damaged, idx
 
 
@@ -252,7 +260,8 @@ def apply_error_model(
     """Damaged copy of a coefficient vector.
 
     Erasure zeroes the chosen indices; the adversary replaces them with
-    values of magnitude at most ``clamp_W``; bit flips corrupt the
+    values of magnitude at most ``clamp_W`` (real values for a float64
+    ``a``); bit flips corrupt the
     quantized code stream (``quantizer`` required) and clamp only the
     touched coefficients back to ``clamp_W``.  Untouched coefficients
     come through bit-identical.
@@ -299,11 +308,13 @@ def distortion_experiment(
     and compare against the certified bound.
 
     Bounds (W = quantizer half-width, c = sqrt(2) in complex mode else
-    1, d = touched count): quantize-only ``c*W*sqrt(N)/L``; erasure and
-    adversarial ``2*W*sqrt(damage_fraction*N)`` applied to the raw
-    coefficients; bit-flip the sum ``c*W*sqrt(N)/L + 2*W*sqrt(d)``.  The
-    representation's residual bound is always added, since its
-    coefficients only reproduce the input up to that much.  Raises
+    1, d = touched count, s = 1 + ``f.tightness_eps``): quantize-only
+    ``s*c*W*sqrt(N)/L``; erasure and adversarial
+    ``s*2*W*sqrt(damage_fraction*N)`` applied to the raw coefficients;
+    bit-flip the sum ``s*(c*W*sqrt(N)/L + 2*W*sqrt(d))``.  The factor s
+    bounds the synthesis norm ||U||, which exceeds 1 on frames that are
+    not tight.  The representation's residual bound is always added,
+    since its coefficients only reproduce the input up to that much.  Raises
     :class:`InvalidParams` when ``spec`` is real but the coefficients
     carry imaginary mass (:func:`has_imaginary_mass`), which the bound
     does not cover.
@@ -323,17 +334,16 @@ def distortion_experiment(
     if model.tag == QUANTIZE_ONLY:
         damaged = quantize_coeffs(rep.coefficients, spec)[1]
         count = 0
-        bound = qbound + rep.residual_bound
+        coeff_bound = qbound
     elif model.tag == BIT_FLIP:
         damaged, touched = _apply_damage(rep.coefficients, model, w, spec)
         count = int(touched.size)
-        bound = qbound + 2.0 * w * math.sqrt(count) + rep.residual_bound
+        coeff_bound = qbound + 2.0 * w * math.sqrt(count)
     else:
         damaged, touched = _apply_damage(rep.coefficients, model, w, None)
         count = int(touched.size)
-        bound = (
-            2.0 * w * math.sqrt(model.damage_fraction * f.N) + rep.residual_bound
-        )
+        coeff_bound = 2.0 * w * math.sqrt(model.damage_fraction * f.N)
+    bound = (1.0 + f.tightness_eps) * coeff_bound + rep.residual_bound
     l2 = linalg.norm2(v - frames.synthesis(f, damaged))
     return _report(l2, bound, count)
 

@@ -90,17 +90,15 @@ def _top_singular(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     right singular vector.
 
     One batched matmul forms the k x k Gram matrices, in real arithmetic
-    when the block's imaginary part is exactly zero (see
-    :func:`linalg.real_if_exact`), and one stacked ``eigh`` gives each
+    for a real (float64) block, and one stacked ``eigh`` gives each
     Gram matrix's top unit eigenvector v.  The value is computed as
     ``norm(sub @ v)``, so it is a genuine lower bound on the operator norm,
     equal to it up to rounding.  Returns the (B,) values and the (B, k)
     vectors.
     """
-    a = linalg.real_if_exact(block)
-    gram = a.conj().transpose(0, 2, 1) @ a
+    gram = block.conj().transpose(0, 2, 1) @ block
     v = np.linalg.eigh(gram)[1][..., -1]
-    return np.linalg.norm(a @ v[..., None], axis=(1, 2)), v
+    return np.linalg.norm(block @ v[..., None], axis=(1, 2)), v
 
 
 def _power_top(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
@@ -125,7 +123,7 @@ def _power_top(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
 
 
 def _witness(N: int, support: np.ndarray, vec: np.ndarray, ratio) -> UPWitness:
-    full = np.zeros(N, dtype=np.complex128)
+    full = np.zeros(N, dtype=vec.dtype)
     full[support] = vec
     return UPWitness(
         support=tuple(int(i) for i in support), vector=full, ratio=float(ratio)
@@ -235,13 +233,6 @@ def uup_to_up(epsilon: float, delta: float, n: int, N: int) -> UPParams:
             f"implied eta = {eta} >= 1; the two-sided bound is too loose"
         )
     return UPParams(eta=eta, delta=delta)
-
-
-def kashin_level(p: UPParams) -> float:
-    """Spreading level K = (1 - eta)^-1 * delta^-1/2 certified by UP(eta,
-    delta): coefficients can be driven below (K/sqrt(N)) times the input
-    norm."""
-    return 1.0 / ((1.0 - p.eta) * math.sqrt(p.delta))
 
 
 def theoretical_eta(family: frames.FrameFamily) -> float | None:

@@ -32,20 +32,19 @@ def eps_tight_frame():
     return frames.gen_subgaussian(16, 512, frames.GAUSSIAN, 3)
 
 
+def _clip(z, M):
+    """The encoder's exact-mode clip at level M, on one coefficient."""
+    b = np.array([z], dtype=np.complex128)
+    return complex(conversion._truncate_block(b, M, conversion.TruncationSpec())[0])
+
+
 class TestScalarClip:
     def test_hand_values(self):
-        assert conversion.truncate_scalar(0.5, 1.0) == 0.5
-        assert conversion.truncate_scalar(-3 + 4j, 1.0) == pytest.approx(
-            -0.6 + 0.8j, abs=1e-15
-        )
-        assert conversion.truncate_scalar(-3 + 4j, 5.0) == -3 + 4j
-        assert conversion.truncate_scalar(6j, 2.0) == pytest.approx(2j)
-        assert conversion.truncate_scalar(0.0, 3.0) == 0.0
-
-    def test_level_must_be_positive(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(InvalidParams):
-                conversion.truncate_scalar(1.0, bad)
+        assert _clip(0.5, 1.0) == 0.5
+        assert _clip(-3 + 4j, 1.0) == pytest.approx(-0.6 + 0.8j, abs=1e-15)
+        assert _clip(-3 + 4j, 5.0) == -3 + 4j
+        assert _clip(6j, 2.0) == pytest.approx(2j)
+        assert _clip(0.0, 3.0) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -56,11 +55,9 @@ class TestScalarClip:
     def test_phase_equivariant_and_bounded(self, mag, angle, level):
         phase = complex(math.cos(angle), math.sin(angle))
         z = mag * phase
-        t = conversion.truncate_scalar(z, level)
+        t = _clip(z, level)
         assert abs(t) <= level * (1 + 1e-12)
-        assert abs(t - phase * conversion.truncate_scalar(mag, level)) <= 1e-12 * max(
-            mag, 1.0
-        )
+        assert abs(t - phase * _clip(mag, level)) <= 1e-12 * max(mag, 1.0)
         if mag <= level:
             assert abs(t - z) <= 1e-15 * mag + 1e-300
 
@@ -185,28 +182,6 @@ class TestAdjustedParameters:
             conversion.adjusted_parameters(cfg)
 
 
-class TestRequiredIterations:
-    def test_exact_power_stays_small(self):
-        # ratio 0.25 is exactly eta'^2: two passes, not three
-        assert conversion.required_iterations(0.5, 16, 1.0) == 2
-
-    def test_fractional_power_rounds_up(self):
-        assert conversion.required_iterations(
-            0.75, 128, 2 * (math.sqrt(2) + 1)
-        ) == 3
-
-    def test_large_level_needs_single_pass(self):
-        assert conversion.required_iterations(0.5, 16, 20.0) == 1
-
-    def test_domain(self):
-        with pytest.raises(InvalidParams):
-            conversion.required_iterations(1.0, 16, 1.0)
-        with pytest.raises(InvalidParams):
-            conversion.required_iterations(0.5, 0, 1.0)
-        with pytest.raises(InvalidParams):
-            conversion.required_iterations(0.5, 16, 0.0)
-
-
 class TestConfigValidation:
     def test_exactly_one_stopping_rule(self):
         with pytest.raises(InvalidConfig):
@@ -269,7 +244,7 @@ class TestEncode:
                                              seed=1)
         eta = eta_hat + 0.03
         cfg = _exact_cfg(eta, 0.05, iterations=8)
-        K = uncertainty.kashin_level(uncertainty.UPParams(eta=eta, delta=0.05))
+        K = 1.0 / ((1.0 - eta) * math.sqrt(0.05))
         for x in unit_vectors(64, 20, 53, complex_valued=True):
             rep = conversion.kashin_encode(frame_64x128, x, cfg)
             assert rep.level_K == pytest.approx(K, abs=1e-12)
@@ -306,6 +281,36 @@ class TestEncode:
         assert np.all(rep.coefficients == 0)
         assert rep.residual_bound == 0.0
         assert conversion.effective_level(rep) == 0.0
+
+    def test_coefficients_real_exactly_for_real_frame_and_data(self, frame_8x16,
+                                                               exact_up_8x16):
+        eta, _ = exact_up_8x16
+        cfg = _exact_cfg(eta, 2 / 16, iterations=6)
+        approx = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=eta, delta=2 / 16),
+            truncation=conversion.TruncationSpec(
+                mode=conversion.APPROXIMATE, nu=0.1, tau=0.9,
+                scalar_map=conversion.default_scalar_map),
+            iterations=6,
+        )
+        fourier = frames.gen_partial_fourier(16, 8, 2, mode=frames.EXACT_N)
+        x = column_unit(frame_8x16, 0)
+        z = x + 1j * unit_vectors(8, 1, 3)[0]
+        for f, v, config, dtype in (
+            (frame_8x16, x, cfg, np.float64),
+            (frame_8x16, x, approx, np.float64),
+            (frame_8x16, x.astype(np.complex128), cfg, np.float64),
+            (frame_8x16, np.zeros(8), cfg, np.float64),
+            (frame_8x16, z, cfg, np.complex128),
+            (fourier, x, cfg, np.complex128),
+            (fourier, np.zeros(8), cfg, np.complex128),
+        ):
+            rep = conversion.kashin_encode(f, v, config)
+            assert rep.coefficients.dtype == dtype
+        # the real path gives the values of the complex reference
+        rep = conversion.kashin_encode(frame_8x16, x, cfg)
+        ref = frame_8x16.matrix.astype(np.complex128) @ rep.coefficients.astype(np.complex128)
+        assert np.max(np.abs(conversion.kashin_decode(frame_8x16, rep) - ref)) <= 1e-15
 
     def test_wrong_length_and_stale_epsilon_refused(self, frame_8x16,
                                                     eps_tight_frame):
@@ -354,9 +359,7 @@ class TestExactCompletion:
     def test_level_certificate_accounts_for_completion(self, frame_8x16,
                                                        exact_up_8x16):
         eta, _ = exact_up_8x16
-        K = uncertainty.kashin_level(
-            uncertainty.UPParams(eta=eta, delta=2 / 16)
-        )
+        K = 1.0 / ((1.0 - eta) * math.sqrt(2 / 16))
         cfg = _exact_cfg(eta, 2 / 16, iterations=1, exact_last_iteration=True)
         x = column_unit(frame_8x16, 0)
         rep = conversion.kashin_encode(frame_8x16, x, cfg)

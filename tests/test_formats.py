@@ -117,6 +117,54 @@ class TestFrameFiles:
             formats.frame_from_bytes(header + payload)
 
 
+class TestRealFrameFiles:
+    def test_kind_code_follows_the_matrix_dtype(self, frame_8x16):
+        blob = formats.frame_to_bytes(frame_8x16)
+        assert blob[6] == 2
+        assert len(blob) == 15 + 8 * 8 * 16
+        g = linalg.rng_from_seed(3)
+        u = np.linalg.qr(g.standard_normal((16, 8)) + 1j * g.standard_normal((16, 8)))[0]
+        f = frames.FrameMatrix(n=8, N=16, kind=frames.DENSE, matrix=u.conj().T)
+        blob = formats.frame_to_bytes(f)
+        assert blob[6] == 0
+        back = formats.frame_from_bytes(blob)
+        assert back.matrix.dtype == np.complex128
+        assert np.array_equal(back.matrix, f.matrix)
+
+    def test_kind_zero_file_of_a_real_matrix_reads_as_float64(self, frame_8x16):
+        header = struct.pack("<4sHBII", b"KFRM", 1, 0, 8, 16)
+        payload = np.ascontiguousarray(frame_8x16.matrix, dtype="<c16").tobytes()
+        back = formats.frame_from_bytes(header + payload)
+        assert back.matrix.dtype == np.float64
+        assert np.array_equal(back.matrix, frame_8x16.matrix)
+
+    def test_kind_two_payload_length_checked(self, frame_8x16):
+        blob = formats.frame_to_bytes(frame_8x16)
+        for bad in (blob[:-8], blob[:-1], blob + bytes(8)):
+            with pytest.raises(FormatError, match="dense payload"):
+                formats.frame_from_bytes(bad)
+
+    def test_read_back_coefficients_decode_bit_identically(self, tmp_path,
+                                                           frame_64x128):
+        # a real frame and real data give float64 coefficients; the file
+        # holds them as complex128, and decoding either runs the same GEMV
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=0.9, delta=0.05),
+            truncation=conversion.TruncationSpec(),
+            iterations=6,
+            frame_epsilon=frame_64x128.tightness_eps + 1e-12,
+        )
+        x = linalg.rng_from_seed(9).standard_normal(64)
+        rep = conversion.kashin_encode(frame_64x128, x, cfg)
+        assert rep.coefficients.dtype == np.float64
+        path = tmp_path / "c.kcof"
+        formats.write_representation(path, rep)
+        back = formats.read_representation(path)
+        assert back.coefficients.dtype == np.complex128
+        decoded = conversion.kashin_decode(frame_64x128, back)
+        assert decoded.tobytes() == conversion.kashin_decode(frame_64x128, rep).tobytes()
+
+
 class TestCoefficientFiles:
     def test_round_trip(self, tmp_path, frame_8x16):
         rep = _sample_rep(frame_8x16)

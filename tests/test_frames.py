@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kashin import conversion, frames, linalg, quantize, uncertainty
+from kashin import conversion, formats, frames, linalg, quantize, uncertainty
 from kashin.errors import DimensionMismatch, EmptySelection, InvalidConfig, InvalidParams
 
 from conftest import unit_vectors
@@ -332,6 +334,90 @@ class TestValidation:
             frames.generate(fam).omega,
             frames.gen_partial_fourier(8, 4, 2, mode=frames.EXACT_N).omega,
         )
+
+
+def _real_frame_inputs(g, n):
+    """Real, complex, and complex-typed with a zero imaginary part."""
+    x = g.standard_normal(n)
+    return {
+        "real": x,
+        "complex": x + 1j * g.standard_normal(n),
+        "zero-imaginary": x.astype(np.complex128),
+    }
+
+
+class TestRealStorage:
+    def test_real_families_are_float64(self):
+        assert linalg.sample_gaussian(4, 9, 1).dtype == np.float64
+        assert linalg.sample_bernoulli(4, 9, 1).dtype == np.float64
+        assert frames.gen_random_orthogonal(4, 8, 1).matrix.dtype == np.float64
+        for dist in (frames.GAUSSIAN, frames.BERNOULLI):
+            assert frames.gen_subgaussian(4, 8, dist, 1).matrix.dtype == np.float64
+        for tag in (frames.RANDOM_ORTHOGONAL, frames.GAUSSIAN, frames.BERNOULLI):
+            f = frames.generate(frames.FrameFamily(tag=tag, n=4, N=8, seed=1))
+            assert f.matrix.dtype == np.float64
+
+    def test_zero_imaginary_matrix_is_stored_real(self):
+        u = frames.gen_random_orthogonal(4, 8, 2).matrix
+        f = frames.FrameMatrix(n=4, N=8, kind=frames.DENSE,
+                               matrix=u.astype(np.complex128))
+        assert f.matrix.dtype == np.float64
+        assert np.array_equal(f.matrix, u)
+        c = u + 1e-300j
+        assert frames.FrameMatrix(n=4, N=8, kind=frames.DENSE,
+                                  matrix=c).matrix is c
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero-imaginary"])
+    def test_operators_match_complex_reference(self, kind):
+        f = frames.gen_random_orthogonal(64, 128, 3)
+        ref = f.matrix.astype(np.complex128)
+        g = linalg.rng_from_seed(4)
+        x = _real_frame_inputs(g, 64)[kind]
+        a = _real_frame_inputs(g, 128)[kind]
+        for got, want in ((frames.analysis(f, x), ref.conj().T @ x),
+                          (frames.synthesis(f, a), ref @ a)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # real data stays real; an exactly zero imaginary part counts
+            assert got.dtype == (np.complex128 if kind == "complex" else np.float64)
+
+    def test_zero_imaginary_part_uses_the_real_product(self):
+        # the same GEMV, so the same bits as on the float64 vector
+        f = frames.gen_random_orthogonal(64, 128, 3)
+        g = linalg.rng_from_seed(5)
+        x, a = g.standard_normal(64), g.standard_normal(128)
+        assert np.array_equal(frames.analysis(f, x.astype(np.complex128)),
+                              frames.analysis(f, x))
+        assert np.array_equal(frames.synthesis(f, a.astype(np.complex128)),
+                              frames.synthesis(f, a))
+
+    @pytest.mark.parametrize("op", ["analysis", "synthesis"])
+    def test_complex_data_never_promotes_the_matrix(self, op):
+        # numpy's float64 @ complex128 would copy the whole matrix to
+        # complex128, four times the budget here
+        f = frames.gen_random_orthogonal(256, 512, 6)
+        g = linalg.rng_from_seed(7)
+        size = f.n if op == "analysis" else f.N
+        v = g.standard_normal(size) + 1j * g.standard_normal(size)
+        tracemalloc.start()
+        try:
+            getattr(frames, op)(f, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.matrix.nbytes / 4
+
+    def test_real_frame_file_reads_without_promotion(self, tmp_path):
+        f = frames.gen_random_orthogonal(256, 512, 8)
+        path = tmp_path / "f.kfrm"
+        formats.write_frame(path, f)
+        tracemalloc.start()
+        try:
+            back = formats.read_frame(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.matrix.dtype == np.float64
+        assert peak <= f.matrix.nbytes + (1 << 16)
 
 
 @settings(max_examples=25, deadline=None)

@@ -129,6 +129,33 @@ class TestQuantizeHandValues:
         assert a_hat == pytest.approx(np.array([0.75 - 0.75j, 0.25 + 0.25j]))
 
 
+class TestRealMode:
+    def test_real_mode_returns_float64(self):
+        spec = quantize.QuantizerSpec(levels_L=4, range_half_width=1.0)
+        codes, a_hat = quantize.quantize_coeffs(np.array([0.6, -0.8]), spec)
+        assert a_hat.dtype == np.float64
+        assert quantize.dequantize(codes, spec).dtype == np.float64
+        both = quantize.QuantizerSpec(levels_L=4, range_half_width=1.0,
+                                      complex_mode=True)
+        codes, a_hat = quantize.quantize_coeffs(np.array([0.6, -0.8]), both)
+        assert a_hat.dtype == np.complex128
+        assert quantize.dequantize(codes, both).dtype == np.complex128
+
+    def test_real_frame_and_real_input_stay_real(self, frame_64x128,
+                                                 calibrated_64x128):
+        x = unit_vectors(64, 1, 41)[0]
+        rep = _rep_for(frame_64x128, x, calibrated_64x128, 0.05,
+                       frame_epsilon=frame_64x128.tightness_eps + 1e-12)
+        assert rep.coefficients.dtype == np.float64
+        assert not quantize.has_imaginary_mass(rep.coefficients, rep.input_norm)
+        spec = quantize.QuantizerSpec.from_representation(rep, 64)
+        for tag in quantize.MODEL_TAGS:
+            model = quantize.ErrorModel(tag=tag, damage_fraction=0.05,
+                                        flip_count=4, seed=3)
+            assert quantize.distortion_experiment(
+                frame_64x128, x, rep, spec, model).bound_satisfied
+
+
 class TestDequantize:
     def test_exact_inverse_of_code_assignment(self):
         spec = quantize.QuantizerSpec(
@@ -263,6 +290,29 @@ class TestErrorModels:
         want[over] = want[over] / np.abs(want[over])
         assert np.array_equal(out, want)
 
+    def test_real_adversary_writes_real_values_from_the_same_draws(self):
+        g = linalg.rng_from_seed(31)
+        a = g.standard_normal(64)
+        model = quantize.ErrorModel(
+            tag=quantize.ADVERSARIAL, damage_fraction=0.25, seed=37
+        )
+        out = quantize.apply_error_model(a, model, clamp_W=0.3)
+        assert out.dtype == np.float64
+        r = linalg.rng_from_seed(37)
+        idx = np.sort(r.permutation(64)[:16])
+        radius = 0.3 * np.sqrt(r.random(16))
+        angle = 2.0 * np.pi * r.random(16)
+        assert np.array_equal(out[idx], radius * np.cos(angle))
+        assert np.max(np.abs(out[idx])) <= 0.3
+        keep = np.setdiff1d(np.arange(64), idx)
+        assert np.array_equal(out[keep], a[keep])
+        # complex coefficients get the full draw, as before
+        c = a + 1j * g.standard_normal(64)
+        out = quantize.apply_error_model(c, model, clamp_W=0.3)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out[idx], radius * np.exp(1j * angle))
+        assert np.array_equal(out[keep], c[keep])
+
     def test_bit_flip_needs_quantizer(self):
         model = quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=1)
         with pytest.raises(InvalidParams):
@@ -360,6 +410,57 @@ class TestDistortionExperiment:
         # the quantizer term of the bound scales exactly as 1/L
         assert qterms[64] == pytest.approx(qterms[16] / 4, rel=1e-9)
         assert qterms[256] == pytest.approx(qterms[64] / 4, rel=1e-9)
+
+    @staticmethod
+    def _coefficient_terms(f, rep, spec, model):
+        """Each model's quantizer-plus-damage term before the 1 + eps factor."""
+        w = spec.range_half_width
+        cfac = math.sqrt(2.0) if spec.complex_mode else 1.0
+        qbound = cfac * w * math.sqrt(f.N) / spec.levels_L
+        if model.tag == quantize.QUANTIZE_ONLY:
+            return qbound
+        if model.tag == quantize.BIT_FLIP:
+            _, touched = quantize._apply_damage(rep.coefficients, model, w, spec)
+            return qbound + 2.0 * w * math.sqrt(touched.size)
+        return 2.0 * w * math.sqrt(model.damage_fraction * f.N)
+
+    @pytest.mark.parametrize("tag", quantize.MODEL_TAGS)
+    def test_bound_scales_by_the_synthesis_norm(self, tag):
+        # ||U|| <= 1 + eps; a Gaussian frame is far from tight
+        f = frames.gen_subgaussian(32, 64, frames.GAUSSIAN, 5)
+        eps = f.tightness_eps
+        assert 0.4 <= eps <= 0.8
+        x = unit_vectors(32, 1, 43)[0]
+        a = frames.analysis(f, x)
+        residual = float(np.linalg.norm(x - frames.synthesis(f, a)))
+        rep = conversion.KashinRepresentation(
+            coefficients=a, level_K=math.sqrt(f.N) * 1.01 * float(np.max(np.abs(a))),
+            input_norm=1.0, residual_bound=residual, iterations_used=0,
+        )
+        spec = quantize.QuantizerSpec.from_representation(rep, 16)
+        model = quantize.ErrorModel(tag=tag, damage_fraction=0.1,
+                                    flip_count=5, seed=2)
+        report = quantize.distortion_experiment(f, x, rep, spec, model)
+        term = self._coefficient_terms(f, rep, spec, model)
+        assert report.theoretical_bound == (1.0 + eps) * term + residual
+        assert report.bound_satisfied
+
+    @pytest.mark.parametrize("tag", quantize.MODEL_TAGS)
+    def test_bound_on_tight_frames_barely_moves(self, tag, frame_64x128,
+                                                calibrated_64x128):
+        x = unit_vectors(64, 1, 47, complex_valued=True)[0]
+        rep = _rep_for(frame_64x128, x, calibrated_64x128, 0.05)
+        spec = quantize.QuantizerSpec.from_representation(
+            rep, 64, complex_mode=True
+        )
+        model = quantize.ErrorModel(tag=tag, damage_fraction=4 / 128,
+                                    flip_count=5, seed=9)
+        report = quantize.distortion_experiment(
+            frame_64x128, x, rep, spec, model
+        )
+        unscaled = self._coefficient_terms(frame_64x128, rep, spec, model)
+        unscaled += rep.residual_bound
+        assert abs(report.theoretical_bound - unscaled) < 1e-12 * unscaled
 
     def test_real_spec_refused_on_imaginary_coefficients(self):
         # partial Fourier coefficients of a real input are complex; a real

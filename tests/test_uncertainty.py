@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kashin import frames, linalg, uncertainty
+from kashin import conversion, frames, linalg, uncertainty
 from kashin.errors import BudgetExceeded, InvalidParams
 
 from conftest import unit_vectors
@@ -235,12 +235,14 @@ class TestConversions:
             uncertainty.uup_to_up(1.0, 0.25, 1, 2)
 
     def test_level_round_numbers(self):
-        assert uncertainty.kashin_level(
-            uncertainty.UPParams(eta=0.5, delta=0.25)
-        ) == pytest.approx(4.0, abs=1e-12)
-        assert uncertainty.kashin_level(
-            uncertainty.UPParams(eta=math.sqrt(0.5), delta=0.5)
-        ) == pytest.approx(2 * (math.sqrt(2) + 1), abs=1e-12)
+        # K = (1 - eta)^-1 delta^-1/2, the level conversion certifies
+        for eta, delta, K in ((0.5, 0.25, 4.0),
+                              (math.sqrt(0.5), 0.5, 2 * (math.sqrt(2) + 1))):
+            cfg = conversion.ConversionConfig(
+                up=uncertainty.UPParams(eta=eta, delta=delta),
+                truncation=conversion.TruncationSpec(), iterations=1,
+            )
+            assert conversion.adjusted_parameters(cfg)[2] == pytest.approx(K, abs=1e-12)
 
     def test_a_priori_eta_values(self):
         assert uncertainty.theoretical_eta(
