@@ -39,6 +39,9 @@ _DENSE_CAP = 1 << 22
 _GERSHGORIN_CERT = 1e-9
 # rows of |U U* - I| summed at a time, so no second n x n array is formed
 _ROW_BLOCK = 64
+# a dense synthesis given a support of at most N / this many columns
+# multiplies only those columns
+_SPARSE_SYNTHESIS = 8
 
 
 @dataclass(frozen=True)
@@ -268,14 +271,23 @@ def analysis(frame: FrameMatrix, x) -> np.ndarray:
     return linalg.idft(z)
 
 
-def synthesis(frame: FrameMatrix, coeffs) -> np.ndarray:
+def synthesis(frame: FrameMatrix, coeffs, support=None) -> np.ndarray:
     """Weighted sum of frame vectors (length n), the adjoint of analysis;
-    float64 for a real frame and real coefficients."""
+    float64 for a real frame and real coefficients.
+
+    ``support``, when given, lists indices outside which ``coeffs`` are
+    zero.  A dense frame then multiplies only those columns if there are
+    at most N/8 of them; a partial Fourier frame keeps the FFT.  The
+    caller vouches for the zeros: they are not checked.
+    """
     a = linalg.as_vector(coeffs)
     if a.shape[0] != frame.N:
         raise DimensionMismatch(f"frame has {frame.N} vectors, got {a.shape[0]} coefficients")
     if frame.kind == DENSE:
-        return _dense_product(frame.matrix, a, frame.matrix.__matmul__)
+        u = frame.matrix
+        if support is not None and len(support) <= frame.N // _SPARSE_SYNTHESIS:
+            u, a = u[:, support], a[support]
+        return _dense_product(u, a, u.__matmul__)
     return linalg.dft(a)[frame.omega]
 
 

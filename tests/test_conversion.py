@@ -35,7 +35,8 @@ def eps_tight_frame():
 def _clip(z, M):
     """The encoder's exact-mode clip at level M, on one coefficient."""
     b = np.array([z], dtype=np.complex128)
-    return complex(conversion._truncate_block(b, M, conversion.TruncationSpec())[0])
+    clipped, _ = conversion._truncate_block(b, M, conversion.TruncationSpec())
+    return complex(clipped[0])
 
 
 class TestScalarClip:
@@ -566,3 +567,163 @@ def test_encode_certificates_hold_for_random_inputs(frame_8x16, exact_up_8x16,
     assert err <= rep.residual_bound + 1e-12
     cap = rep.level_K / 4.0 * rep.input_norm
     assert np.max(np.abs(rep.coefficients)) <= cap * (1 + 1e-9) + 1e-12
+
+
+def _reference_encode(f, x, cfg):
+    """``kashin_encode`` written as r - U clip(U* r) with a full synthesis
+    every pass: coefficients, pass count, residual norms and clip counts."""
+    v = linalg.as_vector(x)
+    if f.kind == frames.PARTIAL_FOURIER or np.iscomplexobj(f.matrix):
+        v = v.astype(np.complex128)
+    eta_adj, mult, _ = conversion.adjusted_parameters(cfg)
+    norm = linalg.norm2(v)
+    M = mult * norm / math.sqrt(cfg.up.delta * f.N)
+    scalar_map = cfg.truncation.scalar_map
+    residual, a, norms, counts = v.copy(), 0.0, [], []
+    for _ in range(cfg.iterations):
+        b = frames.analysis(f, residual)
+        if scalar_map is None:
+            mags = np.abs(b)
+            scale = np.ones_like(mags)
+            over = mags > M
+            scale[over] = M / mags[over]
+            b_hat = b * scale
+        else:
+            b_hat = np.array([M * complex(scalar_map(complex(z / M))) for z in b])
+            if not np.iscomplexobj(b):
+                b_hat = linalg.real_if_exact(b_hat)
+        counts.append(int(np.count_nonzero(b_hat != b)))
+        a = a + b_hat
+        residual = residual - frames.synthesis(f, b_hat)
+        norms.append(linalg.norm2(residual))
+        M *= eta_adj
+        if norms[-1] <= 1e-14 * norm:
+            break
+    if cfg.exact_last_iteration:
+        b = frames.analysis(f, residual)
+        a = a + b
+        norms.append(linalg.norm2(residual - frames.synthesis(f, b)))
+        counts.append(0)
+    return a, norms, counts
+
+
+def _complex_tight_frame(n, N, seed):
+    g = linalg.rng_from_seed(seed)
+    q, _ = np.linalg.qr(g.standard_normal((N, n)) + 1j * g.standard_normal((N, n)))
+    return frames.FrameMatrix(n=n, N=N, kind=frames.DENSE, matrix=q.conj().T)
+
+
+_PARSEVAL_FRAMES = {
+    "real": lambda: frames.gen_random_orthogonal(64, 128, 7),
+    "complex": lambda: _complex_tight_frame(64, 128, 8),
+    "fourier-128": lambda: frames.gen_partial_fourier(128, 64, 9, mode=frames.EXACT_N),
+    "fourier-480": lambda: frames.gen_partial_fourier(480, 240, 10, mode=frames.EXACT_N),
+}
+_TRUNCATIONS = {
+    "hard": conversion.TruncationSpec(),
+    "approximate": conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8),
+    "map": conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
+                                     scalar_map=conversion.default_scalar_map),
+}
+
+
+def _inputs(f, seed):
+    g = linalg.rng_from_seed(seed)
+    cols = frames.columns(f, g.integers(f.N, size=3))
+    out = [c / np.linalg.norm(c) for c in cols.T]
+    for _ in range(3):
+        x = g.standard_normal(f.n) + 1j * g.standard_normal(f.n)
+        out += [x.real, x]
+    return out
+
+
+class TestParsevalPasses:
+    """On Parseval frames each pass carries U e instead of r - U clip(U* r)."""
+
+    @pytest.mark.parametrize("name", sorted(_PARSEVAL_FRAMES))
+    @pytest.mark.parametrize("truncation", sorted(_TRUNCATIONS))
+    @pytest.mark.parametrize("last", [False, True])
+    def test_matches_the_full_synthesis_loop(self, name, truncation, last):
+        f = _PARSEVAL_FRAMES[name]()
+        assert f.tightness_eps <= 1e-12
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=0.9, delta=0.05),
+            truncation=_TRUNCATIONS[truncation], iterations=20,
+            exact_last_iteration=last, frame_epsilon=f.tightness_eps)
+        clipped = 0
+        for x in _inputs(f, 3):
+            rep = conversion.kashin_encode(f, x, cfg)
+            a, norms, counts = _reference_encode(f, x, cfg)
+            assert rep.iterations_used == len(norms)
+            assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+            assert rep.coefficients.dtype == np.asarray(a).dtype
+            if truncation != "map":
+                assert rep.clip_counts == tuple(counts)
+            clipped += rep.clip_counts[0] > 0
+        assert clipped >= 3  # every column input clips
+
+    def test_gaussian_frames_keep_the_full_synthesis_bits(self, eps_tight_frame):
+        inputs = unit_vectors(16, 2, 73, complex_valued=True) + unit_vectors(16, 2, 79)
+        for spec in _TRUNCATIONS.values():
+            for last in (False, True):
+                cfg = conversion.ConversionConfig(
+                    up=uncertainty.UPParams(eta=0.45, delta=0.05), truncation=spec,
+                    iterations=8, exact_last_iteration=last,
+                    frame_epsilon=eps_tight_frame.tightness_eps)
+                for x in inputs:
+                    rep = conversion.kashin_encode(eps_tight_frame, x, cfg)
+                    a, norms, counts = _reference_encode(eps_tight_frame, x, cfg)
+                    assert np.array_equal(rep.coefficients, a)
+                    assert rep.residual_norms == tuple(norms)
+                    assert rep.clip_counts == tuple(counts)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        widths = []
+        synthesis = frames.synthesis
+
+        def spy(frame, coeffs, support=None):
+            widths.append(frame.N if support is None else len(support))
+            return synthesis(frame, coeffs, support=support)
+
+        monkeypatch.setattr(frames, "synthesis", spy)
+        return widths
+
+    def test_a_pass_that_clips_nothing_synthesizes_nothing(self, frame_64x128,
+                                                           monkeypatch):
+        widths = self._spy(monkeypatch)
+        x = unit_vectors(64, 1, 83)[0]
+        rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.05, iterations=20))
+        assert rep.clip_counts == (0,)
+        assert rep.residual_norms == (0.0,)
+        assert widths == []
+
+    def test_a_column_input_synthesizes_only_clipped_columns(self, frame_64x128,
+                                                             monkeypatch):
+        widths = self._spy(monkeypatch)
+        x = column_unit(frame_64x128, 5)
+        rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.05, iterations=20))
+        assert rep.iterations_used >= 2 and rep.residual_norms[-1] == 0.0
+        assert widths == [c for c in rep.clip_counts if c]
+        assert 0 < max(widths) <= 128 // 8
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_certificate_covers_a_slightly_loose_frame(self, frame_64x128, last):
+        # row 0 scaled by 1 + 1e-13: U U* - I = (2e-13 + 1e-26) e0 e0*, and
+        # the input e0 clips nothing, so the carried residual is exactly 0
+        # while x - U a is -(2e-13) e0, twice the additive cushion
+        m = frame_64x128.matrix.copy()
+        m[0] *= 1.0 + 1e-13
+        f = frames.FrameMatrix(n=64, N=128, kind=frames.DENSE, matrix=m)
+        assert 5e-14 <= f.tightness_eps <= 1e-12
+        cfg = _exact_cfg(0.9, 0.05, iterations=20, exact_last_iteration=last,
+                         frame_epsilon=f.tightness_eps)
+        e0 = np.eye(64)[0]
+        for x in (e0, column_unit(f, 9), unit_vectors(64, 1, 89)[0]):
+            rep = conversion.kashin_encode(f, x, cfg)
+            err = np.linalg.norm(x - frames.synthesis(f, rep.coefficients))
+            assert err <= rep.residual_bound
+            assert abs(rep.residual_norms[-1] - err) <= 1e-10
+        rep = conversion.kashin_encode(f, e0, cfg)
+        assert rep.residual_norms[-1] == 0.0
+        assert np.linalg.norm(e0 - frames.synthesis(f, rep.coefficients)) > 1.5e-13

@@ -194,6 +194,39 @@ class TestOperators:
             for b, s in enumerate(supports):
                 assert np.array_equal(block[:, b], frames.columns(f, s))
 
+    def test_synthesis_on_a_support(self, frame_64x128):
+        # a support of at most N/8 columns multiplies only them, a wider one
+        # the whole matrix, and Fourier frames ignore it; all agree with the
+        # full synthesis of the zero-filled coefficients
+        g = linalg.rng_from_seed(37)
+        fourier = frames.gen_partial_fourier(128, 64, 2, mode=frames.EXACT_N)
+        z = frames.FrameMatrix(n=64, N=128, kind=frames.DENSE,
+                               matrix=frame_64x128.matrix * np.exp(0.3j))
+        for f in (frame_64x128, z, fourier):
+            for width in (1, 16, 17, 128):
+                support = np.sort(g.choice(128, size=width, replace=False))
+                for a_s in (g.standard_normal(width),
+                            g.standard_normal(width) + 1j * g.standard_normal(width)):
+                    a = np.zeros(128, dtype=a_s.dtype)
+                    a[support] = a_s
+                    full = frames.synthesis(f, a)
+                    got = frames.synthesis(f, a, support=support)
+                    assert got.dtype == full.dtype
+                    assert np.max(np.abs(got - full)) <= 1e-14
+        assert np.array_equal(frames.synthesis(frame_64x128, np.zeros(128), support=[]),
+                              np.zeros(64))
+
+    def test_narrow_support_reads_only_its_columns(self, frame_64x128):
+        # NaN columns off the support poison a full product (0 * NaN) but
+        # are never read by a narrow one
+        m = frame_64x128.matrix.copy()
+        m[:, 16:] = np.nan
+        f = frames.FrameMatrix(n=64, N=128, kind=frames.DENSE, matrix=m)
+        a = np.zeros(128)
+        a[:16] = 1.0
+        assert np.all(np.isfinite(frames.synthesis(f, a, support=np.arange(16))))
+        assert np.all(np.isnan(frames.synthesis(f, a, support=np.arange(17))))
+
     def test_zero_maps_to_zero(self, frame_8x16):
         assert np.all(frames.analysis(frame_8x16, np.zeros(8)) == 0)
         assert np.all(frames.synthesis(frame_8x16, np.zeros(16)) == 0)

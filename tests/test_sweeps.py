@@ -35,6 +35,14 @@ def test_decay_sweep_inputs_clip(n, N):
     assert all(r.bound_ok for r in sweep.rows)
 
 
+def test_decay_sweep_reports_the_recomputed_error():
+    # the encoder's last recorded residual is exactly 0 on a Parseval frame
+    # once a pass clips nothing; the error ||x - U a|| is rounding, not 0
+    family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, 64, 128, 0)
+    sweep = sweeps.decay_sweep(family, 0.05, 20, 5)
+    assert all(0.0 < r.l2_error <= 1e-13 for r in sweep.rows)
+
+
 def test_decay_sweep_refuses_frames_without_contraction():
     family = frames.FrameFamily(frames.GAUSSIAN, 16, 32, 0)
     with pytest.raises(InvalidConfig):
