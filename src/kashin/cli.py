@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,21 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="kashin", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-frame", help="generate a frame and write a .kfrm file")
+def _gen_frame_args(p) -> None:
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_FLAGS))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--N", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("info", help="print a frame file's parameters")
+
+def _info_args(p) -> None:
     p.add_argument("frame")
 
-    p = sub.add_parser("up-check", help="calibrate the uncertainty constant eta")
+
+def _up_check_args(p) -> None:
     p.add_argument("frame")
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--exact", action="store_true",
@@ -67,7 +64,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("encode", help="convert a vector to spread coefficients")
+
+def _encode_args(p) -> None:
     p.add_argument("frame")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eta", required=True, type=float)
@@ -81,21 +79,24 @@ def _build_parser() -> _Parser:
                    default=formats.ASCII)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("decode", help="synthesize coefficients back to a vector")
+
+def _decode_args(p) -> None:
     p.add_argument("frame")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=[formats.ASCII, formats.BINARY],
                    default=formats.ASCII)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("quantize", help="replace coefficients by quantizer midpoints")
+
+def _quantize_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--levels", required=True, type=int)
     p.add_argument("--real", action="store_true",
                    help="quantize only real parts (default covers both components)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("simulate", help="end-to-end distortion trials over a channel")
+
+def _simulate_args(p) -> None:
     p.add_argument("frame")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--model", required=True, choices=sorted(_MODEL_FLAGS))
@@ -109,18 +110,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--worst-direction", action="store_true")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=[formats.ASCII, formats.BINARY],
                    default=formats.ASCII)
     p.add_argument("--csv", required=True)
 
-    p = sub.add_parser("bench", help="benchmark sweeps emitting CSV")
+
+def _bench_args(p) -> None:
     p.add_argument("--suite", required=True,
                    choices=["decay", "quantization", "corruption"])
     p.add_argument("--trials", type=int,
                    help="override the per-setting trial count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True)
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The ``kashin`` parser with every subcommand, or with only
+    ``command``'s when it is given."""
+    parser = _Parser(prog="kashin", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -255,22 +266,17 @@ def _cmd_simulate(args) -> int:
     flips = args.flips
     if flips is None:
         flips = max(1, int(args.damage * frame.N)) if tag == quantize.BIT_FLIP else 0
-
-    def one_trial(index: int) -> formats.ExperimentRow:
-        model = quantize.ErrorModel(
+    models = [
+        quantize.ErrorModel(
             tag=tag,
             damage_fraction=args.damage,
             flip_count=flips,
             seed=args.seed + index,
             worst_direction=args.worst_direction,
         )
-        return sweeps.trial_row(frame.kind, frame, x, rep, spec, model, cfg.up)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(one_trial, range(args.trials)))
-    else:
-        rows = [one_trial(i) for i in range(args.trials)]
+        for index in range(args.trials)
+    ]
+    rows = sweeps.trial_rows(frame.kind, frame, x, rep, spec, models, cfg.up)
     formats.write_experiment_csv(args.csv, rows)
     violations = sum(not r.bound_ok for r in rows)
     print(f"trials: {len(rows)}")
@@ -300,24 +306,37 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# command -> (handler, help line, argument builder)
 _COMMANDS = {
-    "gen-frame": _cmd_gen_frame,
-    "info": _cmd_info,
-    "up-check": _cmd_up_check,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "quantize": _cmd_quantize,
-    "simulate": _cmd_simulate,
-    "bench": _cmd_bench,
+    "gen-frame": (_cmd_gen_frame, "generate a frame and write a .kfrm file",
+                  _gen_frame_args),
+    "info": (_cmd_info, "print a frame file's parameters", _info_args),
+    "up-check": (_cmd_up_check, "calibrate the uncertainty constant eta",
+                 _up_check_args),
+    "encode": (_cmd_encode, "convert a vector to spread coefficients",
+               _encode_args),
+    "decode": (_cmd_decode, "synthesize coefficients back to a vector",
+               _decode_args),
+    "quantize": (_cmd_quantize, "replace coefficients by quantizer midpoints",
+                 _quantize_args),
+    "simulate": (_cmd_simulate, "end-to-end distortion trials over a channel",
+                 _simulate_args),
+    "bench": (_cmd_bench, "benchmark sweeps emitting CSV", _bench_args),
 }
 
 
 def run(argv) -> int:
-    """Parse and execute one command line; returns the exit code."""
-    parser = _build_parser()
+    """Parse and execute one command line; returns the exit code.
+
+    Only the named command's arguments are built; a command line that
+    names none (empty, an option first, or an unknown name) gets the full
+    parser, which reports it.
+    """
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

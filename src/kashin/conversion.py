@@ -411,10 +411,13 @@ def kashin_encode(
     eps = cfg.frame_epsilon
     if cfg.exact_last_iteration:
         entering = prev
-        b = frames.analysis(f, residual)
-        a = _accumulate(a, b)
-        residual = residual - frames.synthesis(f, b)
-        rn = linalg.norm2(residual)
+        # a zero residual has zero coefficients: the pass is counted, and
+        # records rn = 0, without running the frame operators
+        if entering > 0.0:
+            b = frames.analysis(f, residual)
+            a = _accumulate(a, b)
+            residual = residual - frames.synthesis(f, b)
+            rn = linalg.norm2(residual)
         norms.append(rn)
         clip_counts.append(0)
         passes += 1

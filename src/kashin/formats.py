@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,33 +212,48 @@ def write_vector(path, v: np.ndarray, fmt: str = ASCII) -> None:
     significant digits) or raw little-endian float64 pairs (bin)."""
     arr = np.asarray(v, dtype=np.complex128).reshape(-1)
     if fmt == ASCII:
-        lines = [f"{z.real:.17g} {z.imag:.17g}" for z in arr]
-        Path(path).write_text("\n".join(lines) + "\n")
+        parts = np.ascontiguousarray(arr).view(np.float64).tolist()
+        Path(path).write_text("%.17g %.17g\n" * arr.size % tuple(parts))
     elif fmt == BINARY:
         Path(path).write_bytes(arr.astype("<c16").tobytes())
     else:
         raise FormatError(f"unknown vector format {fmt!r}")
 
 
+def _parse_lines(lines) -> np.ndarray:
+    """Parse ascii vector lines one at a time, raising for the first
+    malformed line with its number."""
+    entries = []
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: expected `re im`, got {line!r}")
+        try:
+            entries.append(complex(float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+    return np.asarray(entries, dtype=np.complex128)
+
+
 def read_vector(path, fmt: str = ASCII) -> np.ndarray:
     """Read a complex vector written by :func:`write_vector`."""
     if fmt == ASCII:
-        entries = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(
-                    f"line {lineno}: expected `re im`, got {line!r}"
-                )
-            try:
-                entries.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-        if not entries:
+        lines = Path(path).read_text().splitlines()
+        rows = list(map(str.split, lines))
+        # blank lines are skipped and every other line holds one `re im`
+        # pair; a file that breaks this goes to the line-by-line parser,
+        # which names the line
+        if not set(map(len, rows)) <= {0, 2}:
+            return _parse_lines(lines)
+        try:
+            parts = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+        except ValueError:
+            return _parse_lines(lines)
+        if parts.size == 0:
             raise FormatError("vector file holds no entries")
-        return np.asarray(entries, dtype=np.complex128)
+        return parts.view(np.complex128)
     if fmt == BINARY:
         blob = Path(path).read_bytes()
         if len(blob) == 0 or len(blob) % 16:
@@ -266,29 +283,35 @@ class ExperimentRow:
     bound_ok: bool
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _cell_formatter(kind: str):
+    """Formatter of a CSV column from its :class:`ExperimentRow` type."""
+    if kind == "bool":
+        return lambda value: "true" if value else "false"
+    if kind == "float":
+        return lambda value: format(value, ".17g")
+    return str
+
+
+_COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentRow)}
+_CSV_FORMATTERS = tuple(_cell_formatter(_COLUMN_TYPES[name]) for name in CSV_HEADER)
+_CSV_CELLS = operator.attrgetter(*CSV_HEADER)
 
 
 def write_experiment_csv(path, rows) -> None:
     """Write rows with the fixed header; floats keep 17 significant
-    digits so they parse back exactly."""
+    digits so they parse back exactly.  Each column is formatted by its
+    declared :class:`ExperimentRow` type."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [_format_cell(getattr(row, name)) for name in CSV_HEADER]
-            )
+        writer.writerows(
+            [fmt(value) for fmt, value in zip(_CSV_FORMATTERS, _CSV_CELLS(row))]
+            for row in rows
+        )
 
 
 def read_experiment_csv(path) -> list[ExperimentRow]:
     """Read back an experiment CSV, validating the header."""
-    types = {f.name: f.type for f in dataclasses.fields(ExperimentRow)}
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -301,7 +324,7 @@ def read_experiment_csv(path) -> list[ExperimentRow]:
             kwargs = {}
             try:
                 for name, cell in zip(CSV_HEADER, record):
-                    kind = types[name]
+                    kind = _COLUMN_TYPES[name]
                     if kind == "bool":
                         if cell not in ("true", "false"):
                             raise ValueError(f"bad boolean {cell!r}")

@@ -44,7 +44,7 @@ def as_vector(x) -> np.ndarray:
     v = _float_or_complex(x)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionMismatch(f"expected a nonempty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidParams("vector contains NaN or Inf entries")
     return v
 
@@ -55,7 +55,7 @@ def as_matrix(m) -> np.ndarray:
     a = _float_or_complex(m)
     if a.ndim != 2 or min(a.shape) < 1:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidParams("matrix contains NaN or Inf entries")
     return a
 

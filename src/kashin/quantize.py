@@ -95,20 +95,15 @@ def has_imaginary_mass(a, input_norm: float) -> bool:
     return bool(np.abs(np.imag(a)).max() > 1e-12 * max(input_norm, 1.0))
 
 
-def _components(a: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    if spec.complex_mode:
-        return np.column_stack([a.real, a.imag])
-    return a.real.copy()
-
-
-def _assemble(mid: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    if spec.complex_mode:
-        return (mid[:, 0] + 1j * mid[:, 1]).astype(np.complex128)
-    return mid
-
-
-def _midpoints(codes: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-    return -spec.range_half_width + (codes + 0.5) * spec.step
+def _midpoints(cells: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """Midpoints of the cells indexed by ``cells``, a C-contiguous float64
+    array (one entry per component, so real and imaginary parts alternate
+    in complex mode) that is overwritten with them; returned as complex128
+    pairs in complex mode."""
+    cells += 0.5
+    cells *= spec.step
+    cells += -spec.range_half_width
+    return cells.reshape(-1).view(np.complex128) if spec.complex_mode else cells
 
 
 def quantize_coeffs(
@@ -116,23 +111,31 @@ def quantize_coeffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantize a coefficient vector; returns ``(codes, a_hat)``.
 
-    Codes are cell indices in [0, L); ``a_hat`` holds the corresponding
-    midpoints, complex128 in complex mode and float64 in real mode.
-    Components outside [-W, W] are clamped to the edge cells
-    (counted and logged — a correctly sized range never clamps).
+    Codes are cell indices in [0, L), of shape (N, 2) in complex mode;
+    ``a_hat`` holds the corresponding midpoints, complex128 in complex
+    mode and float64 in real mode.  Components outside [-W, W] are clamped
+    to the edge cells (counted and logged — a correctly sized range never
+    clamps).
     """
-    v = _components(linalg.as_vector(a), spec)
+    a = linalg.as_vector(a)
+    if spec.complex_mode:
+        v = np.ascontiguousarray(a, np.complex128).view(np.float64).reshape(-1, 2)
+    else:
+        v = a.real
+    cells = v + spec.range_half_width
+    cells /= spec.step
+    np.floor(cells, out=cells)
     # clamp before the integer cast: a cell index past int64's range would
     # otherwise wrap to INT64_MIN and land in cell 0
-    raw = np.floor((v + spec.range_half_width) / spec.step)
-    cells = np.clip(raw, 0, spec.levels_L - 1)
-    clamped = int(np.count_nonzero(raw != cells))
-    codes = cells.astype(np.int64)
+    top = spec.levels_L - 1
+    clamped = int(np.count_nonzero(cells < 0)) + int(np.count_nonzero(cells > top))
     if clamped:
+        np.clip(cells, 0, top, out=cells)
         _log.warning(
             "clamped %d of %d components to the quantizer range", clamped, v.size
         )
-    return codes, _assemble(_midpoints(codes, spec), spec)
+    codes = cells.astype(np.int64)
+    return codes, _midpoints(cells, spec)
 
 
 def dequantize(codes, spec: QuantizerSpec) -> np.ndarray:
@@ -152,7 +155,7 @@ def dequantize(codes, spec: QuantizerSpec) -> np.ndarray:
             f"codes must lie in [0, {spec.levels_L}), got range "
             f"[{c.min()}, {c.max()}]"
         )
-    return _assemble(_midpoints(c, spec), spec)
+    return _midpoints(c.astype(np.float64, order="C"), spec)
 
 
 @dataclass(frozen=True)
@@ -197,11 +200,12 @@ def _phases(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bit_flip_damage(
-    a: np.ndarray, model: ErrorModel, clamp_W: float, quantizer: QuantizerSpec
+def _flip_codes(
+    codes: np.ndarray, model: ErrorModel, clamp_W: float, quantizer: QuantizerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    codes, _ = quantize_coeffs(a, quantizer)
-    flat = codes.ravel().copy()
+    """Midpoints of ``codes`` (from :func:`quantize_coeffs`, left intact)
+    after the model's bit flips, plus the touched coefficient indices."""
+    flat = codes.reshape(-1).copy()
     bits = max(1, (quantizer.levels_L - 1).bit_length())
     g = linalg.rng_from_seed(model.seed)
     pos = g.integers(0, flat.size, model.flip_count)
@@ -212,8 +216,7 @@ def _bit_flip_damage(
     touched = np.unique(pos // per_coeff)
     # flipped codes may leave [0, L); extrapolate the midpoint grid, then
     # pull only the touched coefficients back to the allowed magnitude
-    mid = _midpoints(flat.reshape(codes.shape), quantizer)
-    damaged = _assemble(mid, quantizer)
+    damaged = _midpoints(flat.astype(np.float64), quantizer)
     if touched.size:
         over = np.abs(damaged[touched]) > clamp_W
         idx = touched[over]
@@ -233,7 +236,8 @@ def _apply_damage(
     if model.tag == BIT_FLIP:
         if quantizer is None:
             raise InvalidParams("the bit-flip model needs a quantizer spec")
-        return _bit_flip_damage(a, model, clamp_W, quantizer)
+        codes = quantize_coeffs(a, quantizer)[0]
+        return _flip_codes(codes, model, clamp_W, quantizer)
     g = linalg.rng_from_seed(model.seed)
     idx = _damage_indices(g, a.size, model.damage_fraction)
     damaged = a.copy()
@@ -304,8 +308,19 @@ def distortion_experiment(
     spec: QuantizerSpec,
     model: ErrorModel,
 ) -> DistortionReport:
-    """Push a representation through quantization plus channel damage
-    and compare against the certified bound.
+    """One trial of :func:`distortion_trials`."""
+    return _trials(f, x, rep, spec, [model])[0]
+
+
+def distortion_trials(
+    f: frames.FrameMatrix,
+    x,
+    rep: KashinRepresentation,
+    spec: QuantizerSpec,
+    models,
+) -> list[DistortionReport]:
+    """Push a representation through quantization plus channel damage,
+    once per model, and compare each outcome against the certified bound.
 
     Bounds (W = quantizer half-width, c = sqrt(2) in complex mode else
     1, d = touched count, s = 1 + ``f.tightness_eps``): quantize-only
@@ -318,34 +333,57 @@ def distortion_experiment(
     :class:`InvalidParams` when ``spec`` is real but the coefficients
     carry imaginary mass (:func:`has_imaginary_mass`), which the bound
     does not cover.
+
+    The trials run as one block: inputs are validated and the
+    coefficients quantized once, every quantize-only model shares one
+    report (the trial is deterministic), and each bit-flip trial flips a
+    copy of the shared codes.  Each other report's ``l2_error`` is
+    ``norm(x - U damaged)`` over that trial's full damaged vector.
     """
+    return _trials(f, x, rep, spec, models)
+
+
+# the one implementation behind both public entry points, so that a traced
+# distortion_experiment keeps the trial's own work in its span
+def _trials(f, x, rep, spec, models) -> list[DistortionReport]:
     v = linalg.as_vector(x)
-    if v.shape[0] != f.n or rep.coefficients.size != f.N:
+    a = linalg.as_vector(rep.coefficients)
+    if v.shape[0] != f.n or a.size != f.N:
         raise DimensionMismatch(
             f"expected a length-{f.n} vector and {f.N} coefficients"
         )
-    if not spec.complex_mode and has_imaginary_mass(rep.coefficients, rep.input_norm):
+    if not spec.complex_mode and has_imaginary_mass(a, rep.input_norm):
         raise InvalidParams(
             "coefficients carry imaginary mass; quantize them in complex mode"
         )
     w = spec.range_half_width
     cfac = math.sqrt(2.0) if spec.complex_mode else 1.0
     qbound = cfac * w * math.sqrt(f.N) / spec.levels_L
-    if model.tag == QUANTIZE_ONLY:
-        damaged = quantize_coeffs(rep.coefficients, spec)[1]
-        count = 0
-        coeff_bound = qbound
-    elif model.tag == BIT_FLIP:
-        damaged, touched = _apply_damage(rep.coefficients, model, w, spec)
-        count = int(touched.size)
-        coeff_bound = qbound + 2.0 * w * math.sqrt(count)
-    else:
-        damaged, touched = _apply_damage(rep.coefficients, model, w, None)
-        count = int(touched.size)
-        coeff_bound = 2.0 * w * math.sqrt(model.damage_fraction * f.N)
-    bound = (1.0 + f.tightness_eps) * coeff_bound + rep.residual_bound
-    l2 = linalg.norm2(v - frames.synthesis(f, damaged))
-    return _report(l2, bound, count)
+    scale = 1.0 + f.tightness_eps
+    codes = quantized = None
+    if any(m.tag in (QUANTIZE_ONLY, BIT_FLIP) for m in models):
+        codes, quantized = quantize_coeffs(a, spec)
+
+    def trial(damaged, count: int, coeff_bound: float) -> DistortionReport:
+        l2 = linalg.norm2(v - frames.synthesis(f, damaged))
+        return _report(l2, scale * coeff_bound + rep.residual_bound, count)
+
+    quantize_only = None
+    reports = []
+    for model in models:
+        if model.tag == QUANTIZE_ONLY:
+            if quantize_only is None:
+                quantize_only = trial(quantized, 0, qbound)
+            reports.append(quantize_only)
+            continue
+        if model.tag == BIT_FLIP:
+            damaged, touched = _flip_codes(codes, model, w, spec)
+            coeff_bound = qbound + 2.0 * w * math.sqrt(touched.size)
+        else:
+            damaged, touched = _apply_damage(a, model, w, None)
+            coeff_bound = 2.0 * w * math.sqrt(model.damage_fraction * f.N)
+        reports.append(trial(damaged, int(touched.size), coeff_bound))
+    return reports
 
 
 def frame_baseline_quantize(f: frames.FrameMatrix, x, levels_L: int) -> DistortionReport:

@@ -58,19 +58,22 @@ def _column_inputs(frame: frames.FrameMatrix, seed: int, count: int
     return list((cols / np.linalg.norm(cols, axis=0)).T)
 
 
-def trial_row(family: str, frame: frames.FrameMatrix, x,
-              rep: conversion.KashinRepresentation, spec: quantize.QuantizerSpec,
-              model: quantize.ErrorModel, up: uncertainty.UPParams) -> ExperimentRow:
-    """Run one :func:`~kashin.quantize.distortion_experiment` trial and
-    record it as a CSV row."""
-    report = quantize.distortion_experiment(frame, x, rep, spec, model)
-    return ExperimentRow(
-        family=family, n=frame.n, N=frame.N, up_eta=up.eta, up_delta=up.delta,
-        K=rep.level_K, L=spec.levels_L, model=model.tag,
-        damage_fraction=model.damage_fraction, seed=model.seed,
-        l2_error=report.l2_error, bound=report.theoretical_bound,
-        bound_ok=report.bound_satisfied,
-    )
+def trial_rows(family: str, frame: frames.FrameMatrix, x,
+               rep: conversion.KashinRepresentation, spec: quantize.QuantizerSpec,
+               models, up: uncertainty.UPParams) -> list[ExperimentRow]:
+    """Run :func:`~kashin.quantize.distortion_trials` over ``models`` and
+    record one CSV row per model."""
+    reports = quantize.distortion_trials(frame, x, rep, spec, models)
+    return [
+        ExperimentRow(
+            family=family, n=frame.n, N=frame.N, up_eta=up.eta, up_delta=up.delta,
+            K=rep.level_K, L=spec.levels_L, model=model.tag,
+            damage_fraction=model.damage_fraction, seed=model.seed,
+            l2_error=report.l2_error, bound=report.theoretical_bound,
+            bound_ok=report.bound_satisfied,
+        )
+        for model, report in zip(models, reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def channel_sweep(family: frames.FrameFamily, delta: float, passes: int,
             )
             model = quantize.ErrorModel(tag=tag, damage_fraction=fraction,
                                         seed=family.seed + t)
-            rows.append(trial_row(family.tag, frame, x, rep, spec, model, cfg.up))
+            rows += trial_rows(family.tag, frame, x, rep, spec, [model], cfg.up)
             if baseline and tag == quantize.QUANTIZE_ONLY:
                 base = quantize.frame_baseline_quantize(frame, x, levels)
                 rows.append(ExperimentRow(

@@ -37,6 +37,44 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert cli.run(["transmogrify"]) == 1
 
+    def test_usage_errors_keep_their_text(self, capsys):
+        assert cli.run([]) == 1
+        assert capsys.readouterr().err == (
+            "error: kashin: the following arguments are required: command\n"
+        )
+        assert cli.run(["--verbose"]) == 1
+        assert "required: command" in capsys.readouterr().err
+        assert cli.run(["transmogrify"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: kashin: argument command: invalid choice: 'transmogrify' "
+            "(choose from 'gen-frame', 'info', "
+        )
+
+    # every required argument of each subcommand, with placeholder values
+    _REQUIRED = {
+        "gen-frame": ["--family", "orthogonal", "--n", "4", "--N", "8", "--out", "f"],
+        "info": ["f"],
+        "up-check": ["f", "--delta", "0.1"],
+        "encode": ["f", "--in", "x", "--eta", "0.9", "--delta", "0.1", "--out", "c"],
+        "decode": ["f", "--in", "c", "--out", "x"],
+        "quantize": ["--in", "c", "--levels", "4", "--out", "q"],
+        "simulate": ["f", "--in", "x", "--model", "erasure", "--eta", "0.9",
+                     "--delta", "0.1", "--csv", "s"],
+        "bench": ["--suite", "decay", "--csv", "s"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_bad_flag_on_each_subcommand(self, capsys, command):
+        assert sorted(self._REQUIRED) == sorted(cli._COMMANDS)
+        assert cli.run([command, *self._REQUIRED[command], "--bogus"]) == 1
+        assert capsys.readouterr().err == (
+            "error: kashin: unrecognized arguments: --bogus\n"
+        )
+        assert cli.run([command, "--bogus"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: kashin {command}: the following arguments are required: "
+        )
+
     def test_unknown_family(self, tmp_path):
         assert cli.run([
             "gen-frame", "--family", "wavelet", "--n", "4", "--N", "8",
@@ -315,18 +353,52 @@ class TestSimulate:
         assert _value(out, "trials") == 4
         assert _value(out, "bound violations") == 0
 
-    def test_parallel_schedule_independent(self, tmp_path, frame_file):
-        vec, _ = _write_input(tmp_path, 8)
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        args = [
-            "simulate", str(frame_file), "--in", str(vec),
-            "--model", "adversarial", "--eta", "0.97", "--delta", "0.125",
-            "--damage", "0.25", "--trials", "6", "--seed", "5",
-        ]
-        assert cli.run(args + ["--jobs", "1", "--csv", str(serial)]) == 0
-        assert cli.run(args + ["--jobs", "3", "--csv", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    @pytest.mark.parametrize("family", ["orthogonal", "fourier"])
+    @pytest.mark.parametrize("flag", sorted(cli._MODEL_FLAGS))
+    def test_rows_equal_per_trial_reports(self, tmp_path, family, flag):
+        path = tmp_path / "f.kfrm"
+        assert cli.run([
+            "gen-frame", "--family", family, "--n", "16", "--N", "32",
+            "--seed", "4", "--out", str(path),
+        ]) == 0
+        g = linalg.rng_from_seed(6)
+        x = g.standard_normal(16)
+        vec = tmp_path / "x.vec"
+        formats.write_vector(vec, x / np.linalg.norm(x))
+        csv_path = tmp_path / "sim.csv"
+        assert cli.run([
+            "simulate", str(path), "--in", str(vec), "--model", flag,
+            "--eta", "0.97", "--delta", "0.125", "--damage", "0.125",
+            "--flips", "3", "--trials", "5", "--seed", "40",
+            "--csv", str(csv_path),
+        ]) == 0
+
+        frame = formats.read_frame(path)
+        x = formats.read_vector(vec)
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=0.97, delta=0.125),
+            truncation=conversion.TruncationSpec(),
+            iterations=8,
+            frame_epsilon=frame.tightness_eps + 1e-12,
+        )
+        rep = conversion.kashin_encode(frame, x, cfg)
+        complex_mode = quantize.has_imaginary_mass(rep.coefficients, rep.input_norm)
+        assert complex_mode == (family == "fourier")
+        spec = quantize.QuantizerSpec.from_representation(
+            rep, 64, complex_mode=complex_mode
+        )
+        rows = formats.read_experiment_csv(csv_path)
+        assert [r.seed for r in rows] == list(range(40, 45))
+        for row in rows:
+            model = quantize.ErrorModel(
+                tag=cli._MODEL_FLAGS[flag], damage_fraction=0.125,
+                flip_count=3, seed=row.seed,
+            )
+            report = quantize.distortion_experiment(frame, x, rep, spec, model)
+            assert row.model == model.tag
+            assert (row.l2_error, row.bound, row.bound_ok) == (
+                report.l2_error, report.theoretical_bound, report.bound_satisfied
+            )
 
     def test_bit_flip_model(self, tmp_path, frame_file):
         vec, _ = _write_input(tmp_path, 8)

@@ -369,6 +369,30 @@ class TestExactCompletion:
         peak = np.max(np.abs(rep.coefficients))
         assert peak <= rep.level_K / 4.0 * (1 + 1e-10) + 1e-12
 
+    def test_completion_after_a_zero_residual_runs_no_operator(self, frame_64x128,
+                                                               monkeypatch):
+        # a random input clips nothing on its first pass, so the completion
+        # pass receives an exactly zero residual
+        x = unit_vectors(64, 1, 83)[0]
+        plain = conversion.kashin_encode(
+            frame_64x128, x, _exact_cfg(0.9, 0.05, iterations=20))
+        assert plain.residual_norms == (0.0,)
+        calls = []
+        for name in ("analysis", "synthesis"):
+            def spy(*args, _fn=getattr(frames, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(frames, name, spy)
+        rep = conversion.kashin_encode(
+            frame_64x128, x,
+            _exact_cfg(0.9, 0.05, iterations=20, exact_last_iteration=True))
+        assert calls == ["analysis"]  # the clipping pass only
+        assert rep.iterations_used == 2
+        assert rep.residual_norms == (0.0, 0.0)
+        assert rep.clip_counts == (0, 0)
+        assert np.array_equal(rep.coefficients, plain.coefficients)
+        assert rep.level_K == plain.level_K
+
     def test_exact_expansions_cannot_be_flatter_than_root_n(self, frame_8x16,
                                                             exact_up_8x16):
         # an exact expansion always has some coefficient at least

@@ -268,6 +268,29 @@ class TestVectorFiles:
         with pytest.raises(FormatError):
             formats.read_vector(path)
 
+    def test_ascii_text_is_seventeen_digit_pairs(self, tmp_path):
+        path = tmp_path / "x.vec"
+        formats.write_vector(path, np.array([0.1 + 1 / 3 * 1j, -0.0 - 2e-300j, 5.0]))
+        assert path.read_text() == (
+            "0.10000000000000001 0.33333333333333331\n"
+            "-0 -2.0000000000000001e-300\n"
+            "5 0\n"
+        )
+        assert np.array_equal(
+            formats.read_vector(path).view(np.float64),
+            np.array([0.1, 1 / 3, -0.0, -2e-300, 5.0, 0.0]),
+        )
+        assert np.signbit(formats.read_vector(path)[1].real)
+
+    def test_ascii_error_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "x.vec"
+        path.write_text("1 2\n\n3 4 5\n6 x\n")
+        with pytest.raises(FormatError, match=r"^line 3: expected `re im`, got '3 4 5'$"):
+            formats.read_vector(path)
+        path.write_text("1 2\n\n3 x\n4 5 6\n")
+        with pytest.raises(FormatError, match=r"^line 3: could not convert string to float: 'x'$"):
+            formats.read_vector(path)
+
     def test_binary_bad_length(self, tmp_path):
         path = tmp_path / "x.vec"
         path.write_bytes(b"\x00" * 24)
@@ -337,6 +360,17 @@ class TestExperimentCsv:
         path.write_text(bad_int)
         with pytest.raises(FormatError):
             formats.read_experiment_csv(path)
+
+    def test_cells_keep_their_text(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        formats.write_experiment_csv(path, self._rows())
+        assert path.read_bytes().split(b"\r\n")[1:] == [
+            b"orthogonal,64,128,0.30000000000000004,0.33333333333333331,"
+            b"3.1415926535897931,64,quantize-only,0,7,1.0000000000000001e-17,2.5,true",
+            b"fourier,8,16,0.96460481000379039,0.125,4.8300000000000001,16,erasure,"
+            b"0.03125,8,0.25,0.20000000000000001,false",
+            b"",
+        ]
 
     def test_true_false_spelling(self, tmp_path):
         path = tmp_path / "rows.csv"

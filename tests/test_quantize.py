@@ -389,6 +389,58 @@ class TestDistortionExperiment:
             assert report.bound_satisfied
             assert 1 <= report.damaged_count <= 6
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_block_equals_per_model_calls(self, frame_64x128, calibrated_64x128,
+                                          complex_valued):
+        x = unit_vectors(64, 1, 107, complex_valued=complex_valued)[0]
+        rep = _rep_for(frame_64x128, x, calibrated_64x128, 0.05)
+        spec = quantize.QuantizerSpec.from_representation(
+            rep, 32, complex_mode=complex_valued
+        )
+        models = [
+            quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY, seed=1),
+            quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=4, seed=2),
+            quantize.ErrorModel(tag=quantize.ERASURE, damage_fraction=0.05, seed=3),
+            quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY, seed=4),
+            quantize.ErrorModel(tag=quantize.ADVERSARIAL, damage_fraction=0.05,
+                                seed=5, worst_direction=True),
+            quantize.ErrorModel(tag=quantize.ADVERSARIAL, damage_fraction=0.03,
+                                seed=6),
+            quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=9, seed=7),
+            quantize.ErrorModel(tag=quantize.ERASURE, damage_fraction=0.0, seed=8),
+        ]
+        block = quantize.distortion_trials(frame_64x128, x, rep, spec, models)
+        single = [quantize.distortion_experiment(frame_64x128, x, rep, spec, m)
+                  for m in models]
+        assert block == single
+        assert len({r.l2_error for r in block}) >= 6
+
+    def test_block_quantizes_and_synthesizes_once_per_need(
+            self, frame_64x128, calibrated_64x128, monkeypatch):
+        x = unit_vectors(64, 1, 109)[0]
+        rep = _rep_for(frame_64x128, x, calibrated_64x128, 0.05)
+        spec = quantize.QuantizerSpec.from_representation(rep, 64)
+        calls = {"quantize_coeffs": 0, "synthesis": 0}
+        for module, name in ((quantize, "quantize_coeffs"), (frames, "synthesis")):
+            def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+        def run(tag, **kw):
+            for key in calls:
+                calls[key] = 0
+            models = [quantize.ErrorModel(tag=tag, seed=t, **kw) for t in range(25)]
+            return quantize.distortion_trials(frame_64x128, x, rep, spec, models)
+
+        reports = run(quantize.QUANTIZE_ONLY)
+        assert calls == {"quantize_coeffs": 1, "synthesis": 1}
+        assert len(reports) == 25 and all(r is reports[0] for r in reports)
+        run(quantize.BIT_FLIP, flip_count=3)
+        assert calls == {"quantize_coeffs": 1, "synthesis": 25}
+        run(quantize.ERASURE, damage_fraction=0.05)
+        assert calls == {"quantize_coeffs": 0, "synthesis": 25}
+
     def test_error_shrinks_as_levels_grow(self, frame_64x128,
                                           calibrated_64x128):
         errors = {16: [], 64: [], 256: []}
