@@ -185,6 +185,15 @@ def _truncation_from_flag(flag: str | None) -> conversion.TruncationSpec:
     )
 
 
+def _require_trials(args) -> None:
+    """A given ``--trials`` count must be at least 1."""
+    if args.trials is not None and args.trials < 1:
+        raise _UsageError(
+            f"kashin {args.command}: argument --trials: must be at least 1, "
+            f"got {args.trials}"
+        )
+
+
 def _conversion_config(frame, eta, delta, iters, accuracy, exact_last,
                        trunc_flag) -> conversion.ConversionConfig:
     if (iters is None) == (accuracy is None):
@@ -252,6 +261,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _require_trials(args)
     frame = formats.read_frame(args.frame)
     x = formats.read_vector(args.infile, args.format)
     tag = _MODEL_FLAGS[args.model]
@@ -286,6 +296,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _require_trials(args)
     family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, 64, 128, args.seed)
     if args.suite == "decay":
         trials = 200 if args.trials is None else args.trials

@@ -4,10 +4,11 @@ The core algorithm: repeatedly analyze the residual, clip each
 coefficient at a level that shrinks geometrically, synthesize the clipped
 coefficients back and subtract.  On a Parseval frame (U U* = I) the new
 residual r - U clip(U* r) equals U e for the excess e = U* r - clip(U* r),
-which lives on the few clipped coefficients, so only those are
-synthesized.  Under an uncertainty principle with parameters (eta, delta)
-each pass contracts the residual by eta, and the accumulated coefficients
-stay below (K/sqrt(N)) times the input norm with
+which lives on the few clipped coefficients, so the loop carries
+coefficients instead of residuals: the next pass clips U* U e = G e, one
+Gram step on the clipped support.  Under an uncertainty principle with
+parameters (eta, delta) each pass contracts the residual by eta, and the
+accumulated coefficients stay below (K/sqrt(N)) times the input norm with
 K = (1 - eta)^-1 * delta^-1/2.  Two algorithm variants adjust (eta, K):
 clipping through an approximate scalar map with parameters (nu, tau), and
 running against a frame that is only tight up to a factor (1 +/- eps).
@@ -44,8 +45,8 @@ _EARLY_STOP = 1e-14
 # sample count for scalar-map contract verification
 _MAP_SAMPLES = 1000
 _MAP_SLACK = 1e-9
-# measured tightness defect up to which a frame counts as Parseval and a
-# pass synthesizes only its clipped excess
+# measured tightness defect up to which a frame counts as Parseval and the
+# encoder carries coefficients instead of residuals
 _PARSEVAL_EPS = 1e-12
 
 
@@ -122,10 +123,14 @@ class KashinRepresentation:
     hold one entry per pass: ``residual_norms`` the norm of the residual
     the encoder carried after the pass, and ``clip_counts`` the number of
     coefficients the pass clipped.  On a frame that is not Parseval the
-    carried residual is ``x - U a_k``; on a Parseval frame it is the
-    modeled ``U e_k`` (see :func:`truncation_operator`), which differs
-    from ``norm(x - U a_k)`` by at most ``(2 eps + eps^2)`` times the
-    summed norms of the residuals entering the passes, plus rounding.
+    carried residual is ``x - U a_k``.  On a Parseval frame it is the
+    modeled ``U e_k`` for the pass's clipped excess ``e_k`` (see
+    :func:`kashin_encode`), whose norm is recorded as
+    ``sqrt(Re <e_k, G e_k>)`` with ``G = U* U``, or as ``norm(U e_k)``
+    when no pass follows; a pass that clips nothing, and an exact
+    completion pass, record 0.  It differs from ``norm(x - U a_k)`` by at
+    most ``(2 eps + eps^2)`` times the summed norms of the residuals
+    entering the passes, plus rounding.
     """
 
     coefficients: np.ndarray
@@ -221,10 +226,6 @@ def _truncate_block(
     return b * scale, over
 
 
-def _is_parseval(f: frames.FrameMatrix) -> bool:
-    return f.tightness_eps <= _PARSEVAL_EPS
-
-
 def truncation_operator(
     f: frames.FrameMatrix, x, M: float, spec: TruncationSpec,
     clip_counts: list[int] | None = None,
@@ -232,20 +233,11 @@ def truncation_operator(
     """One clipping pass: analyze, clip every coefficient at level M,
     synthesize.
 
-    Returns ``(Tx, b_hat)``.  When the frame satisfies the uncertainty
-    principle at (eta, delta) and ``M = norm(x)/sqrt(delta*N)``, the
-    residual obeys ``norm(x - Tx) <= eta * norm(x)``.  When
-    ``clip_counts`` is a list, the number of coefficients the clip changed
-    is appended to it.
-
-    A frame whose measured tightness defect is at most 1e-12 counts as
-    Parseval, and there ``Tx = x - U e`` for the excess
-    ``e = b - b_hat``: the residual ``x - Tx`` is ``U e``, which equals
-    ``x - U b_hat`` up to the skipped ``(U U* - I) x``, of norm at most
-    ``(2 eps + eps^2) norm(x)``.  ``e`` is zero off the clipped
-    coefficients, so a pass that clips nothing runs no synthesis and one
-    that clips a few multiplies only their frame vectors.  Other frames
-    compute ``Tx = U b_hat``.
+    Returns ``(Tx, b_hat)`` with ``Tx = U b_hat``.  When the frame
+    satisfies the uncertainty principle at (eta, delta) and
+    ``M = norm(x)/sqrt(delta*N)``, the residual obeys
+    ``norm(x - Tx) <= eta * norm(x)``.  When ``clip_counts`` is a list,
+    the number of coefficients the clip changed is appended to it.
     """
     if not M > 0.0:
         raise InvalidParams(f"clip level must be positive, got {M}")
@@ -253,12 +245,7 @@ def truncation_operator(
     b_hat, clipped = _truncate_block(b, M, spec)
     if clip_counts is not None:
         clip_counts.append(clipped.size)
-    if not _is_parseval(f):
-        return frames.synthesis(f, b_hat), b_hat
-    v = linalg.as_vector(x)
-    if clipped.size == 0:
-        return v.copy(), b_hat
-    return v - frames.synthesis(f, b - b_hat, support=clipped), b_hat
+    return frames.synthesis(f, b_hat), b_hat
 
 
 def adjusted_parameters(cfg: ConversionConfig) -> tuple[float, float, float]:
@@ -329,20 +316,32 @@ def kashin_encode(
     it.  A real (float64) frame keeps real data real: the coefficients are
     float64 unless the data has a nonzero imaginary part or a scalar map
     returns complex values; a complex frame works in complex arithmetic
-    throughout.  Raises :class:`NonConvergence` when a measured per-pass
-    contraction exceeds eta' + 0.05 — the supplied (eta, delta) do not
-    hold for this frame — and :class:`InvalidParams` when the norm of a
-    finite input exceeds the float64 range.
+    throughout.  Raises :class:`NonConvergence`, naming the pass, its clip
+    level M and the measured ratio, when a per-pass contraction exceeds
+    eta' + 0.05 — the supplied (eta, delta) do not hold for this frame —
+    and :class:`InvalidParams` when the norm of a finite input exceeds the
+    float64 range.
 
-    On a Parseval frame (measured defect at most 1e-12) each pass carries
-    the modeled residual ``U e`` of :func:`truncation_operator`, so it
-    costs one analysis plus a synthesis of only the clipped coefficients,
-    and none when nothing clipped, which ends the loop with a zero
-    residual.  The residual bound then adds ``(2 eps + eps^2)`` times the
-    summed norms of the residuals entering the clipping passes, with
+    On a Parseval frame (measured defect at most 1e-12) the loop runs in
+    coefficient space.  It analyzes ``x`` once, ``b_1 = U* x``; pass k
+    clips ``b_k`` and carries ``b_{k+1} = G e_k`` for the clipped excess
+    ``e_k = b_k - clip(b_k)`` and the Gram operator ``G = U* U``, which
+    are the analysis coefficients of the modeled residual ``U e_k``.  Its
+    norm is ``sqrt(Re <e_k, G e_k>)``, summed over the clipped support
+    ``S_k`` alone.  :func:`frames.gram_step` computes ``G e_k``: on a dense
+    frame a synthesis of the clipped columns and a full analysis, on a
+    partial Fourier frame a sum of ``|S_k|`` rotated copies of the
+    circulant's first column when ``|S_k|`` is small, so a pass clipping
+    a few coefficients runs no FFT.  A pass that clips nothing ends the
+    loop with a zero residual, and the last pass by count, which no pass
+    follows, takes ``norm(U e_k)`` from a synthesis of the support alone.
+    An exact completion adds the carried ``b``, which leaves the modeled
+    residual ``U e - U U* U e = 0``.  The residual bound then adds
+    ``(2 eps + eps^2)`` times the summed norms of the residuals entering
+    the passes, completion included, with
     ``eps = max(cfg.frame_epsilon, f.tightness_eps)``: the most by which
-    the modeled residual can stray from ``x - U a``.  Other frames run a
-    full synthesis per pass.
+    the modeled residual can stray from ``x - U a``.  Other frames run
+    :func:`truncation_operator`, a full analysis and synthesis per pass.
     """
     v = linalg.as_vector(x)
     if v.shape[0] != f.n:
@@ -382,26 +381,43 @@ def kashin_encode(
         )
 
     M = mult * norm / math.sqrt(cfg.up.delta * f.N)
+    parseval = f.tightness_eps <= _PARSEVAL_EPS
+    if parseval:
+        # b holds the next pass's analysis coefficients
+        gram = frames.gram_step(f)
+        b = frames.analysis(f, v)
+    else:
+        residual = v.copy()
     a = None
-    residual = v.copy()
     prev = norm
     norms: list[float] = []
     clip_counts: list[int] = []
     entering_sum = 0.0
-    passes = 0
-    for _ in range(r):
+    for k in range(1, r + 1):
         entering_sum += prev
-        tx, b_hat = truncation_operator(f, residual, M, cfg.truncation, clip_counts)
-        residual = residual - tx
+        if parseval:
+            b_hat, clipped = _truncate_block(b, M, cfg.truncation)
+            clip_counts.append(clipped.size)
+            rn = 0.0
+            if clipped.size:
+                e = b - b_hat
+                if k == r and not cfg.exact_last_iteration:
+                    # no pass follows, so only norm(U e) is needed
+                    rn = linalg.norm2(frames.synthesis(f, e, support=clipped))
+                else:
+                    b = gram(e, clipped)
+                    rn = math.sqrt(max(np.vdot(e[clipped], b[clipped]).real, 0.0))
+        else:
+            tx, b_hat = truncation_operator(f, residual, M, cfg.truncation, clip_counts)
+            residual = residual - tx
+            rn = linalg.norm2(residual)
         a = _accumulate(a, b_hat)
-        rn = linalg.norm2(residual)
         norms.append(rn)
-        passes += 1
         if rn > (eta_adj + 0.05) * prev + 1e-12 * norm:
             raise NonConvergence(
-                f"residual contracted by {rn / prev:.6f} > eta' + 0.05 = "
-                f"{eta_adj + 0.05:.6f}; the supplied (eta, delta) do not hold "
-                "for this frame"
+                f"pass {k} at clip level M = {M:.6g}: residual contracted by "
+                f"{rn / prev:.6f} > eta' + 0.05 = {eta_adj + 0.05:.6f}; the "
+                "supplied (eta, delta) do not hold for this frame"
             )
         prev = rn
         M *= eta_adj
@@ -413,22 +429,26 @@ def kashin_encode(
         entering = prev
         # a zero residual has zero coefficients: the pass is counted, and
         # records rn = 0, without running the frame operators
-        if entering > 0.0:
+        if entering > 0.0 and parseval:
+            # b = U* r for the carried r, so the modeled residual is r - U U* r = 0
+            a = _accumulate(a, b)
+            entering_sum += entering
+            rn = 0.0
+        elif entering > 0.0:
             b = frames.analysis(f, residual)
             a = _accumulate(a, b)
             residual = residual - frames.synthesis(f, b)
             rn = linalg.norm2(residual)
         norms.append(rn)
         clip_counts.append(0)
-        passes += 1
         level_cert = level + (1.0 + eps + 1e-9) * (entering / norm) * math.sqrt(f.N)
         bound = max(((1.0 + eps) ** 2 - 1.0) * entering, rn)
     else:
         level_cert = level
-        bound = max(eta_adj**passes * norm, prev)
-    if _is_parseval(f):
+        bound = max(eta_adj ** len(norms) * norm, prev)
+    if parseval:
         # the modeled residual strays from x - U a by (U U* - I) times
-        # each residual entering a clipping pass
+        # each residual entering a pass
         eps_max = max(eps, f.tightness_eps)
         bound += (2.0 * eps_max + eps_max * eps_max) * entering_sum
 
@@ -437,7 +457,7 @@ def kashin_encode(
         level_K=level_cert,
         input_norm=norm,
         residual_bound=bound + _RESIDUAL_CUSHION * norm,
-        iterations_used=passes,
+        iterations_used=len(norms),
         residual_norms=tuple(norms),
         clip_counts=tuple(clip_counts),
     )

@@ -400,6 +400,24 @@ class TestSimulate:
                 report.l2_error, report.theoretical_bound, report.bound_satisfied
             )
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trial_count_below_one_is_a_usage_error(self, tmp_path, frame_file,
+                                                     capsys, trials):
+        vec, _ = _write_input(tmp_path, 8)
+        csv_path = tmp_path / "sim.csv"
+        assert cli.run([
+            "simulate", str(frame_file), "--in", str(vec),
+            "--model", "erasure", "--eta", "0.97", "--delta", "0.125",
+            "--trials", trials, "--csv", str(csv_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: kashin simulate: argument --trials: must be at least 1, "
+            f"got {trials}\n"
+        )
+        assert captured.out == ""
+        assert not csv_path.exists()
+
     def test_bit_flip_model(self, tmp_path, frame_file):
         vec, _ = _write_input(tmp_path, 8)
         csv_path = tmp_path / "flips.csv"
@@ -426,6 +444,20 @@ class TestBench:
         assert all(r.model == "decay" for r in rows)
         assert all(r.bound_ok for r in rows)
         assert _value(capsys.readouterr().out, "bound violations") == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trial_count_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                     trials):
+        csv_path = tmp_path / "decay.csv"
+        assert cli.run([
+            "bench", "--suite", "decay", "--trials", trials,
+            "--csv", str(csv_path),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: kashin bench: argument --trials: must be at least 1, "
+            f"got {trials}\n"
+        )
+        assert not csv_path.exists()
 
     def test_decay_bound_uses_adjusted_eta(self, tmp_path):
         csv_path = tmp_path / "decay.csv"

@@ -257,7 +257,14 @@ class TestEncode:
         # claiming a strong contraction at a clip level too low to realize
         # it must abort rather than return a bogus certificate
         x = unit_vectors(8, 1, 2, complex_valued=True)[0]
-        with pytest.raises(NonConvergence):
+        # the message names the pass, its clip level and the measured ratio
+        M = 1.0 / math.sqrt(0.9 * 16)
+        tx, _ = conversion.truncation_operator(frame_8x16, x, M, conversion.TruncationSpec())
+        ratio = np.linalg.norm(x - tx)
+        assert ratio > 0.1
+        match = (rf"^pass 1 at clip level M = {M:.6g}: residual contracted by "
+                 rf"{ratio:.6f} > eta' \+ 0\.05 = 0\.100000; ")
+        with pytest.raises(NonConvergence, match=match):
             conversion.kashin_encode(
                 frame_8x16, x, _exact_cfg(0.05, 0.9, iterations=5)
             )
@@ -662,7 +669,8 @@ def _inputs(f, seed):
 
 
 class TestParsevalPasses:
-    """On Parseval frames each pass carries U e instead of r - U clip(U* r)."""
+    """On Parseval frames the loop carries G e, the analysis coefficients of
+    U e, instead of the residual r - U clip(U* r)."""
 
     @pytest.mark.parametrize("name", sorted(_PARSEVAL_FRAMES))
     @pytest.mark.parametrize("truncation", sorted(_TRUNCATIONS))
@@ -730,6 +738,76 @@ class TestParsevalPasses:
         assert rep.iterations_used >= 2 and rep.residual_norms[-1] == 0.0
         assert widths == [c for c in rep.clip_counts if c]
         assert 0 < max(widths) <= 128 // 8
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_the_last_pass_by_count_runs_no_analysis(self, frame_64x128, monkeypatch):
+        # no pass follows the second, so it takes norm(U e) from a
+        # synthesis of its clipped columns and skips the Gram step's analysis
+        widths = self._spy(monkeypatch)
+        analysis_calls = self._count(monkeypatch, frames, "analysis")
+        x = column_unit(frame_64x128, 5)
+        rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.2, iterations=2))
+        assert rep.clip_counts[1] > 0
+        assert widths == list(rep.clip_counts)
+        assert len(analysis_calls) == 2
+        monkeypatch.undo()
+        err = np.linalg.norm(x - frames.synthesis(frame_64x128, rep.coefficients))
+        assert abs(rep.residual_norms[-1] - err) <= 1e-14
+        assert err <= rep.residual_bound
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_fourier_gram_steps_on_both_sides_of_the_cutoff(self, last, monkeypatch):
+        # at delta = 0.9 this input's second pass clips more coefficients
+        # than the rotation cut-off and its third pass fewer, so the Gram
+        # steps run the FFT pair and the rotated-kernel sum in one encode
+        f = _PARSEVAL_FRAMES["fourier-480"]()
+        g = linalg.rng_from_seed(7)
+        x = frames.columns(f, g.choice(f.N, 40, replace=False)) @ (
+            g.standard_normal(40) + 1j * g.standard_normal(40))
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=0.9, delta=0.9),
+            truncation=conversion.TruncationSpec(), iterations=20,
+            exact_last_iteration=last)
+        dft_calls = self._count(monkeypatch, linalg, "dft")
+        rep = conversion.kashin_encode(f, x, cfg)
+        cut = frames._GRAM_ROTATIONS
+        assert rep.clip_counts[1] > cut >= rep.clip_counts[2] > 0
+        # one synthesis per Gram step above the cut-off, none below it
+        assert len(dft_calls) == sum(c > cut for c in rep.clip_counts)
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert rep.iterations_used == len(norms)
+        assert rep.clip_counts == tuple(counts)
+        assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+        clipping = sum(c > 0 for c in counts)
+        np.testing.assert_allclose(rep.residual_norms[:clipping], norms[:clipping], rtol=1e-12)
+        err = np.linalg.norm(x - conversion.kashin_decode(f, rep))
+        assert err <= rep.residual_bound
+
+    def test_a_fourier_column_encode_runs_one_analysis_and_no_dft(self, monkeypatch):
+        f = frames.gen_partial_fourier(4096, 2048, 12, mode=frames.EXACT_N)
+        x = frames.columns(f, [5])[:, 0]
+        cfg = _exact_cfg(0.9, 0.02, iterations=20)
+        analysis_calls = self._count(monkeypatch, frames, "analysis")
+        dft_calls = self._count(monkeypatch, linalg, "dft")
+        rep = conversion.kashin_encode(f, x, cfg)
+        assert rep.clip_counts == (1, 1, 1, 0)
+        assert analysis_calls == ["analysis"]
+        assert dft_calls == []
+        monkeypatch.undo()
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert rep.iterations_used == len(norms)
+        assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("last", [False, True])
     def test_certificate_covers_a_slightly_loose_frame(self, frame_64x128, last):
