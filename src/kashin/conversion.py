@@ -210,7 +210,13 @@ def verify_truncation_map(
 def _truncate_block(
     b: np.ndarray, M: float, spec: TruncationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped coefficients and the indices of those the clip changed."""
+    """Clipped coefficients and the indices of those the clip changed.
+
+    Raises :class:`InvalidParams` unless M is positive, as it stops being
+    when a subnormal input norm or a long run of passes underflows it.
+    """
+    if not M > 0.0:
+        raise InvalidParams(f"clip level must be positive, got {M}")
     if spec.mode == APPROXIMATE and spec.scalar_map is not None:
         out = np.array(
             [M * complex(spec.scalar_map(complex(z / M))) for z in b],
@@ -239,8 +245,6 @@ def truncation_operator(
     ``norm(x - Tx) <= eta * norm(x)``.  When ``clip_counts`` is a list,
     the number of coefficients the clip changed is appended to it.
     """
-    if not M > 0.0:
-        raise InvalidParams(f"clip level must be positive, got {M}")
     b = frames.analysis(f, x)
     b_hat, clipped = _truncate_block(b, M, spec)
     if clip_counts is not None:
@@ -328,13 +332,15 @@ def kashin_encode(
     ``e_k = b_k - clip(b_k)`` and the Gram operator ``G = U* U``, which
     are the analysis coefficients of the modeled residual ``U e_k``.  Its
     norm is ``sqrt(Re <e_k, G e_k>)``, summed over the clipped support
-    ``S_k`` alone.  :func:`frames.gram_step` computes ``G e_k``: on a dense
-    frame a synthesis of the clipped columns and a full analysis, on a
-    partial Fourier frame a sum of ``|S_k|`` rotated copies of the
-    circulant's first column when ``|S_k|`` is small, so a pass clipping
-    a few coefficients runs no FFT.  A pass that clips nothing ends the
-    loop with a zero residual, and the last pass by count, which no pass
-    follows, takes ``norm(U e_k)`` from a synthesis of the support alone.
+    ``S_k`` alone and scaled so that no finite input overflows or
+    underflows.  :class:`frames.GramStep` computes both: on a dense frame
+    from a synthesis of the clipped columns and a full analysis, on a
+    partial Fourier frame from ``|S_k|`` rotated copies of the circulant's
+    first column when ``|S_k|`` is small, so a pass clipping a few
+    coefficients runs no FFT.  A pass that clips nothing ends the loop
+    with a zero residual, and the last pass by count, which no pass
+    follows, takes ``norm(U e_k)`` alone, with no analysis on a dense
+    frame and no FFT on a small Fourier support.
     An exact completion adds the carried ``b``, which leaves the modeled
     residual ``U e - U U* U e = 0``.  The residual bound then adds
     ``(2 eps + eps^2)`` times the summed norms of the residuals entering
@@ -383,8 +389,9 @@ def kashin_encode(
     M = mult * norm / math.sqrt(cfg.up.delta * f.N)
     parseval = f.tightness_eps <= _PARSEVAL_EPS
     if parseval:
-        # b holds the next pass's analysis coefficients
-        gram = frames.gram_step(f)
+        # b holds the next pass's analysis coefficients, None once a pass
+        # leaves no excess to carry
+        gram = frames.GramStep(f)
         b = frames.analysis(f, v)
     else:
         residual = v.copy()
@@ -398,15 +405,13 @@ def kashin_encode(
         if parseval:
             b_hat, clipped = _truncate_block(b, M, cfg.truncation)
             clip_counts.append(clipped.size)
-            rn = 0.0
-            if clipped.size:
-                e = b - b_hat
-                if k == r and not cfg.exact_last_iteration:
-                    # no pass follows, so only norm(U e) is needed
-                    rn = linalg.norm2(frames.synthesis(f, e, support=clipped))
-                else:
-                    b = gram(e, clipped)
-                    rn = math.sqrt(max(np.vdot(e[clipped], b[clipped]).real, 0.0))
+            if not clipped.size:
+                b, rn = None, 0.0
+            elif k == r and not cfg.exact_last_iteration:
+                # no pass follows, so only norm(U e) is needed
+                rn = gram.synthesis_norm(b - b_hat, clipped)
+            else:
+                b, rn = gram(b - b_hat, clipped)
         else:
             tx, b_hat = truncation_operator(f, residual, M, cfg.truncation, clip_counts)
             residual = residual - tx
@@ -429,9 +434,12 @@ def kashin_encode(
         entering = prev
         # a zero residual has zero coefficients: the pass is counted, and
         # records rn = 0, without running the frame operators
-        if entering > 0.0 and parseval:
-            # b = U* r for the carried r, so the modeled residual is r - U U* r = 0
-            a = _accumulate(a, b)
+        if parseval:
+            # b = U* r for the carried r, so the modeled residual is
+            # r - U U* r = 0; b is tested rather than entering, which can
+            # round to 0 while the excess carried into b does not
+            if b is not None:
+                a = _accumulate(a, b)
             entering_sum += entering
             rn = 0.0
         elif entering > 0.0:

@@ -6,7 +6,7 @@ Orthonormal rows mean the columns form a Parseval (tight) frame: analysis
 followed by synthesis reproduces the input exactly.  Partial Fourier frames
 never materialize their matrix; both operators are routed through the
 unitary DFT and a row selection, and their Gram operator U* U is
-circulant, which :func:`gram_step` uses on small supports.
+circulant, which :class:`GramStep` uses on small supports.
 """
 
 from __future__ import annotations
@@ -45,9 +45,13 @@ _ROW_BLOCK = 64
 _SPARSE_SYNTHESIS = 8
 # a partial Fourier Gram step on a support of at most this many indices
 # sums rotated copies of the circulant's first column instead of running
-# an FFT pair.  Measured on one thread with numpy's FFT, a rotation costs
-# about 4 us at N = 480 and 9 us at N = 4096 and an FFT pair about 80 and
-# 300 us, so the sum wins up to roughly 20 and 35 rotations.
+# an FFT pair.  On a two-core x86 VM, one thread, numpy's pocketfft, three
+# runs of 15-repeat minima: each rotation past the first costs 1.9-3.3 us
+# at N = 480 and 6.3-7.4 us at N = 4096, an FFT pair 41-62 and 184-243 us,
+# so the sum stays cheaper up to 18-21 and 28-32 rotations.  Timing each
+# width on its own gave crossovers as low as 8 at N = 480, because single
+# minima on that host spread by up to 2x; the fit above did not move
+# between runs.  16 lies below the crossover at both sizes.
 _GRAM_ROTATIONS = 16
 
 
@@ -285,7 +289,7 @@ def synthesis(frame: FrameMatrix, coeffs, support=None) -> np.ndarray:
     ``support``, when given, lists indices outside which ``coeffs`` are
     zero.  A dense frame then multiplies only those columns if there are
     at most N/8 of them; a partial Fourier frame keeps the FFT here, and
-    :func:`gram_step` is what skips it for a small support.  The caller
+    :class:`GramStep` is what skips it for a small support.  The caller
     vouches for the zeros: they are not checked.
     """
     a = linalg.as_vector(coeffs)
@@ -299,40 +303,84 @@ def synthesis(frame: FrameMatrix, coeffs, support=None) -> np.ndarray:
     return linalg.dft(a)[frame.omega]
 
 
-def gram_step(frame: FrameMatrix):
-    """The Gram operator ``G = U* U`` as a function ``step(coeffs,
-    support)`` of coefficients that are zero outside ``support``: the
-    analysis coefficients of their synthesis (length N).
+def _quadratic_norm(a: np.ndarray, ga: np.ndarray) -> float:
+    """``sqrt(Re <a, ga>)`` for ``ga = G a``, the norm of ``U a``.
 
-    A dense frame runs :func:`synthesis` on the support and a full
-    :func:`analysis`.  On a partial Fourier frame G is circulant: column
-    t is ``c = ifft(1_Omega)`` rotated by t.  So a support of at most 16
-    indices gives ``G a`` as a sum of that many rotated copies of c, at
-    O(N) each, instead of an FFT pair; a wider support takes the pair.
-    c is built at the first such step and lives as long as the returned
-    function, so make one per encode and let it go with the encode: a
-    kernel cached on the frame would be a long-lived mid-run allocation
-    (see :func:`columns`).
+    Both vectors are taken as float64 (real, imaginary) pairs, whose dot
+    product is ``Re <a, ga>``, and divided by the largest component of
+    ``a`` before the products, which G's linearity allows.  So a finite
+    ``a`` of any scale neither overflows nor underflows on the way, and a
+    subnormal peak divides no complex number (see :func:`linalg.norm2`).
     """
-    N = frame.N
-    kernel = None
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    peak = float(np.abs(parts).max())
+    if peak == 0.0:
+        return 0.0
+    g = np.ascontiguousarray(ga, dtype=np.complex128).view(np.float64)
+    return peak * math.sqrt(max((parts / peak) @ (g / peak), 0.0))
 
-    def step(coeffs, support):
-        nonlocal kernel
-        if frame.kind == DENSE or len(support) > _GRAM_ROTATIONS:
-            return analysis(frame, synthesis(frame, coeffs, support=support))
-        if kernel is None:
+
+class GramStep:
+    """The Gram operator ``G = U* U`` of one frame, applied to
+    coefficients ``a`` that are zero outside ``support``.
+
+    ``step(a, support)`` returns ``(G a, norm(U a))``: the analysis
+    coefficients of the synthesis of ``a`` (length N) and the norm of that
+    synthesis, ``sqrt(Re <a, G a>)`` summed over the support alone.
+    ``step.synthesis_norm(a, support)`` returns ``norm(U a)`` without
+    ``G a``, for a caller that needs no coefficients after it.
+
+    A dense frame runs :func:`synthesis` on the support, then a full
+    :func:`analysis` for ``G a`` (the norm alone takes only the
+    synthesis).  On a partial Fourier frame G is circulant: column t is
+    ``c = ifft(1_Omega)`` rotated by t.  So a support of at most
+    ``_GRAM_ROTATIONS`` indices gives ``G a`` as a sum of that many
+    rotated copies of c, at O(N) each, and ``norm(U a)`` from the
+    support's block of G, with no FFT; a wider support takes the FFT pair
+    (the norm alone, one synthesis).  c is built at the first such step
+    and lives as long as the object, so make one per encode and let it go
+    with the encode: a kernel cached on the frame would be a long-lived
+    mid-run allocation (see :func:`columns`).
+    """
+
+    def __init__(self, frame: FrameMatrix):
+        self.frame = frame
+        self._kernel = None
+
+    def _rotations(self, support) -> bool:
+        return (
+            self.frame.kind == PARTIAL_FOURIER
+            and len(support) <= _GRAM_ROTATIONS
+        )
+
+    def _circulant(self) -> np.ndarray:
+        """``[c, c]``, so column t of G, c rotated by t, is
+        ``kernel[N - t:2N - t]`` and ``G[s, t] = kernel[N + s - t]``."""
+        if self._kernel is None:
+            N = self.frame.N
             z = np.zeros(N, dtype=np.complex128)
-            z[frame.omega] = 1.0 / math.sqrt(N)
+            z[self.frame.omega] = 1.0 / math.sqrt(N)
             c = linalg.idft(z)
-            # column t of G, c rotated by t, is kernel[N - t:2N - t]
-            kernel = np.concatenate([c, c])
-        out = np.zeros(N, dtype=np.complex128)
-        for t in np.asarray(support).tolist():
-            out += coeffs[t] * kernel[N - t:2 * N - t]
-        return out
+            self._kernel = np.concatenate([c, c])
+        return self._kernel
 
-    return step
+    def __call__(self, coeffs, support) -> tuple[np.ndarray, float]:
+        if not self._rotations(support):
+            ga = analysis(self.frame, synthesis(self.frame, coeffs, support=support))
+        else:
+            kernel, N = self._circulant(), self.frame.N
+            ga = np.zeros(N, dtype=np.complex128)
+            for t in np.asarray(support).tolist():
+                ga += coeffs[t] * kernel[N - t:2 * N - t]
+        return ga, _quadratic_norm(coeffs[support], ga[support])
+
+    def synthesis_norm(self, coeffs, support) -> float:
+        if not self._rotations(support):
+            return linalg.norm2(synthesis(self.frame, coeffs, support=support))
+        s = np.asarray(support, dtype=np.int64)
+        block = self._circulant()[self.frame.N + np.subtract.outer(s, s)]
+        a = coeffs[s]
+        return _quadratic_norm(a, block @ a)
 
 
 def frame_norm_sum(frame: FrameMatrix) -> float:

@@ -710,20 +710,24 @@ class TestParsevalPasses:
                     assert rep.clip_counts == tuple(counts)
 
     @staticmethod
-    def _spy(monkeypatch):
+    def _spy(monkeypatch, module, name):
+        """Wrap ``module.name`` and record the width of each call: the
+        length of its ``support`` when one is given, else of its last
+        positional argument (N for a full synthesis or a DFT)."""
         widths = []
-        synthesis = frames.synthesis
+        fn = getattr(module, name)
 
-        def spy(frame, coeffs, support=None):
-            widths.append(frame.N if support is None else len(support))
-            return synthesis(frame, coeffs, support=support)
+        def spy(*args, **kwargs):
+            support = kwargs.get("support")
+            widths.append(len(args[-1]) if support is None else len(support))
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(frames, "synthesis", spy)
+        monkeypatch.setattr(module, name, spy)
         return widths
 
     def test_a_pass_that_clips_nothing_synthesizes_nothing(self, frame_64x128,
                                                            monkeypatch):
-        widths = self._spy(monkeypatch)
+        widths = self._spy(monkeypatch, frames, "synthesis")
         x = unit_vectors(64, 1, 83)[0]
         rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.05, iterations=20))
         assert rep.clip_counts == (0,)
@@ -732,30 +736,18 @@ class TestParsevalPasses:
 
     def test_a_column_input_synthesizes_only_clipped_columns(self, frame_64x128,
                                                              monkeypatch):
-        widths = self._spy(monkeypatch)
+        widths = self._spy(monkeypatch, frames, "synthesis")
         x = column_unit(frame_64x128, 5)
         rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.05, iterations=20))
         assert rep.iterations_used >= 2 and rep.residual_norms[-1] == 0.0
         assert widths == [c for c in rep.clip_counts if c]
         assert 0 < max(widths) <= 128 // 8
 
-    @staticmethod
-    def _count(monkeypatch, module, name):
-        calls = []
-        fn = getattr(module, name)
-
-        def spy(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-        return calls
-
     def test_the_last_pass_by_count_runs_no_analysis(self, frame_64x128, monkeypatch):
         # no pass follows the second, so it takes norm(U e) from a
         # synthesis of its clipped columns and skips the Gram step's analysis
-        widths = self._spy(monkeypatch)
-        analysis_calls = self._count(monkeypatch, frames, "analysis")
+        widths = self._spy(monkeypatch, frames, "synthesis")
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
         x = column_unit(frame_64x128, 5)
         rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.2, iterations=2))
         assert rep.clip_counts[1] > 0
@@ -779,7 +771,7 @@ class TestParsevalPasses:
             up=uncertainty.UPParams(eta=0.9, delta=0.9),
             truncation=conversion.TruncationSpec(), iterations=20,
             exact_last_iteration=last)
-        dft_calls = self._count(monkeypatch, linalg, "dft")
+        dft_calls = self._spy(monkeypatch, linalg, "dft")
         rep = conversion.kashin_encode(f, x, cfg)
         cut = frames._GRAM_ROTATIONS
         assert rep.clip_counts[1] > cut >= rep.clip_counts[2] > 0
@@ -798,16 +790,62 @@ class TestParsevalPasses:
         f = frames.gen_partial_fourier(4096, 2048, 12, mode=frames.EXACT_N)
         x = frames.columns(f, [5])[:, 0]
         cfg = _exact_cfg(0.9, 0.02, iterations=20)
-        analysis_calls = self._count(monkeypatch, frames, "analysis")
-        dft_calls = self._count(monkeypatch, linalg, "dft")
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
+        dft_calls = self._spy(monkeypatch, linalg, "dft")
         rep = conversion.kashin_encode(f, x, cfg)
         assert rep.clip_counts == (1, 1, 1, 0)
-        assert analysis_calls == ["analysis"]
+        assert analysis_calls == [2048]
         assert dft_calls == []
         monkeypatch.undo()
         a, norms, counts = _reference_encode(f, x, cfg)
         assert rep.iterations_used == len(norms)
         assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+
+    def test_a_fourier_last_pass_by_count_runs_no_fft(self, monkeypatch):
+        # the second pass clips one coefficient and no pass follows it, so
+        # norm(U e) comes from the 1 x 1 block of G on its support
+        f = frames.gen_partial_fourier(4096, 2048, 12, mode=frames.EXACT_N)
+        x = frames.columns(f, [5])[:, 0]
+        cfg = _exact_cfg(0.9, 0.02, iterations=2)
+        synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
+        dft_calls = self._spy(monkeypatch, linalg, "dft")
+        rep = conversion.kashin_encode(f, x, cfg)
+        assert rep.clip_counts == (1, 1)
+        assert analysis_calls == [2048]
+        assert synthesis_calls == dft_calls == []
+        monkeypatch.undo()
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+        err = np.linalg.norm(x - frames.synthesis(f, rep.coefficients))
+        assert abs(rep.residual_norms[-1] - err) <= 1e-14
+        assert err <= rep.residual_bound
+
+    @pytest.mark.parametrize("name", ["real", "complex", "fourier-480"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_inputs_far_from_unit_norm(self, name, scale, last):
+        # sqrt(Re <e, G e>) squares coefficients of the input's scale, which
+        # would overflow at 1e200 and underflow at 1e-200 unscaled
+        f = _PARSEVAL_FRAMES[name]()
+        cfg = _exact_cfg(0.9, 0.05, iterations=20, exact_last_iteration=last)
+        x = scale * column_unit(f, 5)
+        rep = conversion.kashin_encode(f, x, cfg)
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert rep.clip_counts == tuple(counts) and counts[0] > 0
+        assert linalg.norm2(rep.coefficients - a) <= 1e-12 * linalg.norm2(a)
+        np.testing.assert_allclose(rep.residual_norms, norms, rtol=1e-12,
+                                   atol=1e-14 * scale)
+        err = linalg.norm2(x - frames.synthesis(f, rep.coefficients))
+        assert err <= rep.residual_bound
+
+    @pytest.mark.parametrize("name", ["real", "fourier-128"])
+    def test_an_underflowing_clip_level_is_rejected(self, name):
+        f = _PARSEVAL_FRAMES[name]()
+        x = np.zeros(f.n)
+        x[0] = 5e-324  # M = norm / sqrt(delta N) rounds to 0
+        with pytest.raises(InvalidParams, match="clip level must be positive"):
+            conversion.kashin_encode(f, x, _exact_cfg(0.9, 0.05, iterations=20))
 
     @pytest.mark.parametrize("last", [False, True])
     def test_certificate_covers_a_slightly_loose_frame(self, frame_64x128, last):
