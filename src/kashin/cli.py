@@ -348,13 +348,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KashinError as exc:

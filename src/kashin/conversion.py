@@ -55,17 +55,19 @@ class TruncationSpec:
     """How coefficients are clipped inside the conversion loop.
 
     ``exact`` mode clips magnitudes hard at the running level.
-    ``approximate`` mode routes each coefficient through a scalar map
+    ``approximate`` mode routes the coefficients through a scalar map t
     obeying the contract ``|t(z)| <= 1``, ``|z - t(z)| <= nu*|z|`` for
     ``|z| <= tau`` and ``|z - t(z)| <= |z|`` everywhere, applied at scale
-    M as ``M * t(z/M)``.  A user-supplied ``scalar_map`` is verified by
-    sampling before use; ``None`` selects the built-in radial clip.
+    M as ``M * t(z/M)``.  ``scalar_map`` is an array map: it takes the
+    unit-scale vector ``b/M`` and returns ``t(b/M)`` of the same shape.
+    It is checked once, here, by :func:`verify_truncation_map`; ``None``
+    selects the built-in radial clip.
     """
 
     mode: str = EXACT
     nu: float = 0.0
     tau: float = 1.0
-    scalar_map: Callable[[complex], complex] | None = None
+    scalar_map: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.mode not in (EXACT, APPROXIMATE):
@@ -75,6 +77,8 @@ class TruncationSpec:
                 raise InvalidParams(f"nu must lie in (0, 1), got {self.nu}")
             if not 0.0 < self.tau < 1.0:
                 raise InvalidParams(f"tau must lie in (0, 1), got {self.tau}")
+            if self.scalar_map is not None:
+                verify_truncation_map(self.scalar_map, self.nu, self.tau)
 
 
 @dataclass(frozen=True)
@@ -159,29 +163,37 @@ class KashinRepresentation:
             )
 
 
-def default_scalar_map(z: complex) -> complex:
-    """Built-in unit-scale clipping map: identity on the closed unit
-    disk, radial projection onto it outside.
+def default_scalar_map(z: np.ndarray) -> np.ndarray:
+    """Built-in unit-scale clipping map, applied to a whole vector:
+    identity on the closed unit disk, radial projection onto it outside.
 
     Satisfies the approximate-truncation contract with nu = 0 for every
     tau, so it is also the exact-mode clip at scale 1.
     """
-    m = abs(z)
-    if m <= 1.0:
-        return z
-    return z / m
+    m = np.abs(z)
+    return np.divide(z, m, out=z.copy(), where=m > 1.0)
+
+
+def _apply_map(scalar_map, z: np.ndarray) -> np.ndarray:
+    """``scalar_map(z)``, which must have ``z``'s shape."""
+    t = np.asarray(scalar_map(z))
+    if t.shape != z.shape:
+        raise ContractViolation(f"scalar map returned shape {t.shape} for {z.shape}")
+    return t
 
 
 def verify_truncation_map(
-    scalar_map: Callable[[complex], complex], nu: float, tau: float
+    scalar_map: Callable[[np.ndarray], np.ndarray], nu: float, tau: float
 ) -> None:
-    """Check a unit-scale scalar map against the clipping contract.
+    """Check a unit-scale array map against the clipping contract.
 
-    Samples roughly a thousand points — magnitudes sweeping [0, 3] with
-    0, tau and 1 hit exactly, random phases — and requires
+    Calls the map once on about a thousand points — magnitudes sweeping
+    [0, 3] with 0, tau and 1 hit exactly, random phases — and requires
     ``|t(z)| <= 1``, ``|z - t(z)| <= nu*|z|`` on ``|z| <= tau`` and
-    ``|z - t(z)| <= |z|`` everywhere, each within 1e-9.  Raises
-    :class:`ContractViolation` on the first offending sample.
+    ``|z - t(z)| <= |z|`` everywhere, each within 1e-9; NaN fails them.
+    Raises :class:`ContractViolation` naming the first offending sample,
+    or when the output's shape is not the input's.  Every
+    :class:`TruncationSpec` with a map runs it once, when it is built.
     """
     if not 0.0 < nu < 1.0 or not 0.0 < tau < 1.0:
         raise InvalidParams("nu and tau must lie in (0, 1)")
@@ -193,43 +205,49 @@ def verify_truncation_map(
             np.linspace(tau, 3.0, _MAP_SAMPLES - 403),
         ]
     )
-    phases = np.exp(2j * np.pi * g.random(mags.size))
-    for z in mags * phases:
-        t = complex(scalar_map(complex(z)))
-        if abs(t) > 1.0 + _MAP_SLACK:
-            raise ContractViolation(f"|t({z})| = {abs(t)} exceeds 1")
-        err = abs(z - t)
-        if err > abs(z) + _MAP_SLACK:
-            raise ContractViolation(f"|z - t(z)| = {err} exceeds |z| at z = {z}")
-        if abs(z) <= tau and err > nu * abs(z) + _MAP_SLACK:
-            raise ContractViolation(
-                f"|z - t(z)| = {err} exceeds nu|z| at z = {z} inside tau"
-            )
+    z = mags * np.exp(2j * np.pi * g.random(mags.size))
+    t = _apply_map(scalar_map, z)
+    err, mag = np.abs(z - t), np.abs(z)
+    # each test holds where it is True, so NaN fails it
+    tests = {
+        "|t(z)| exceeds 1": np.abs(t) <= 1.0 + _MAP_SLACK,
+        "|z - t(z)| exceeds |z|": err <= mag + _MAP_SLACK,
+        "|z - t(z)| exceeds nu|z| inside tau":
+            (mag > tau) | (err <= nu * mag + _MAP_SLACK),
+    }
+    bad = np.flatnonzero(~np.logical_and.reduce(list(tests.values())))
+    if bad.size:
+        i = bad[0]
+        what = next(what for what, ok in tests.items() if not ok[i])
+        raise ContractViolation(f"{what} at z = {z[i]} (|z| = {mag[i]}): t(z) = {t[i]}")
 
 
 def _truncate_block(
     b: np.ndarray, M: float, spec: TruncationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped coefficients and the indices of those the clip changed.
-
-    Raises :class:`InvalidParams` unless M is positive, as it stops being
-    when a subnormal input norm or a long run of passes underflows it.
+    """Clipped coefficients and the indices of those the clip changed,
+    the only ones written: the rest keep their exact bits.  A scalar map
+    sees ``b/M`` in one call, and where ``t(b/M)`` differs from ``b/M``
+    the coefficient becomes ``M t``.  Raises :class:`InvalidParams`
+    unless M is positive, as it stops being when a subnormal input norm
+    or a long run of passes underflows it.
     """
     if not M > 0.0:
         raise InvalidParams(f"clip level must be positive, got {M}")
     if spec.mode == APPROXIMATE and spec.scalar_map is not None:
-        out = np.array(
-            [M * complex(spec.scalar_map(complex(z / M))) for z in b],
-            dtype=np.complex128,
-        )
-        # a map that keeps real coefficients real keeps them float64
-        out = out if np.iscomplexobj(b) else linalg.real_if_exact(out)
-        return out, np.flatnonzero(out != b)
+        u = b / M
+        t = _apply_map(spec.scalar_map, u)
+        if not np.iscomplexobj(b):
+            t = linalg.real_if_exact(t)
+        changed = np.flatnonzero(t != u)
+        out = b.astype(np.result_type(b, t))
+        out[changed] = M * t[changed]
+        return out, changed
     mags = np.abs(b)
-    scale = np.ones_like(mags)
     over = np.flatnonzero(mags > M)
-    scale[over] = M / mags[over]
-    return b * scale, over
+    out = b.copy()
+    out[over] *= M / mags[over]
+    return out, over
 
 
 def truncation_operator(
@@ -320,10 +338,12 @@ def kashin_encode(
     it.  A real (float64) frame keeps real data real: the coefficients are
     float64 unless the data has a nonzero imaginary part or a scalar map
     returns complex values; a complex frame works in complex arithmetic
-    throughout.  Raises :class:`NonConvergence`, naming the pass, its clip
-    level M and the measured ratio, when a per-pass contraction exceeds
-    eta' + 0.05 — the supplied (eta, delta) do not hold for this frame —
-    and :class:`InvalidParams` when the norm of a finite input exceeds the
+    throughout.  A scalar map runs once per pass on the whole vector
+    ``b/M``; its :class:`TruncationSpec` verified it when it was built.
+    Raises :class:`NonConvergence`, naming the pass, its clip level M and
+    the measured ratio, when a per-pass contraction exceeds eta' + 0.05 —
+    the supplied (eta, delta) do not hold for this frame — and
+    :class:`InvalidParams` when the norm of a finite input exceeds the
     float64 range.
 
     On a Parseval frame (measured defect at most 1e-12) the loop runs in
@@ -364,13 +384,6 @@ def kashin_encode(
             f"frame measures {f.tightness_eps}"
         )
     eta_adj, mult, level = adjusted_parameters(cfg)
-    if (
-        cfg.truncation.mode == APPROXIMATE
-        and cfg.truncation.scalar_map is not None
-    ):
-        verify_truncation_map(
-            cfg.truncation.scalar_map, cfg.truncation.nu, cfg.truncation.tau
-        )
     norm = linalg.norm2(v)
     if not math.isfinite(norm):
         raise InvalidParams("input norm exceeds the float64 range")

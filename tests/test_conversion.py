@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -70,14 +71,14 @@ class TestMapVerification:
 
     def test_inflating_map_rejected(self):
         def inflate(z):
-            return 1.2 * z / abs(z) if z != 0 else 0.0
+            return 1.2 * z / np.maximum(np.abs(z), 1e-300)
 
         with pytest.raises(ContractViolation):
             conversion.verify_truncation_map(inflate, 0.1, 0.8)
 
     def test_zero_map_rejected_below_tau(self):
-        with pytest.raises(ContractViolation):
-            conversion.verify_truncation_map(lambda z: 0.0, 0.1, 0.8)
+        with pytest.raises(ContractViolation, match="inside tau"):
+            conversion.verify_truncation_map(np.zeros_like, 0.1, 0.8)
 
     def test_overscaling_map_rejected(self):
         with pytest.raises(ContractViolation):
@@ -86,6 +87,50 @@ class TestMapVerification:
     def test_parameter_domain(self):
         with pytest.raises(InvalidParams):
             conversion.verify_truncation_map(conversion.default_scalar_map, 0.0, 0.8)
+
+    @pytest.mark.parametrize("shaped", [lambda z: z[:-1], lambda z: np.zeros((2, z.size))],
+                             ids=["shorter", "two-dimensional"])
+    def test_map_output_that_does_not_broadcast_is_rejected(self, shaped):
+        with pytest.raises(ContractViolation, match="shape"):
+            conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
+                                      scalar_map=shaped)
+
+    def test_nan_output_rejected(self):
+        with pytest.raises(ContractViolation, match="exceeds 1"):
+            conversion.verify_truncation_map(lambda z: np.where(np.abs(z) > 2, np.nan, z),
+                                             0.1, 0.8)
+
+    def test_names_the_first_offending_sample(self):
+        # the radial clip up to |z| = 2 passes, the identity beyond it
+        # breaks |t| <= 1, and the first sample past 2 is named
+        def late(z):
+            return np.where(np.abs(z) > 2.0, z, conversion.default_scalar_map(z))
+
+        with pytest.raises(ContractViolation, match=r"exceeds 1 at .*\(\|z\| = 2\.003"):
+            conversion.verify_truncation_map(late, 0.1, 0.8)
+
+    def test_map_runs_once_per_spec_and_once_per_pass(self, frame_64x128,
+                                                      eps_tight_frame):
+        calls = []
+
+        def counting(z):
+            calls.append(z.shape)
+            return conversion.default_scalar_map(z)
+
+        spec = conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
+                                         scalar_map=counting)
+        assert len(calls) == 1
+        # a Parseval frame and one that runs the full synthesis loop
+        for f, up in ((frame_64x128, uncertainty.UPParams(eta=0.9, delta=0.05)),
+                      (eps_tight_frame, uncertainty.UPParams(eta=0.45, delta=0.3))):
+            for last in (False, True):
+                del calls[:]
+                cfg = conversion.ConversionConfig(
+                    up=up, truncation=spec, iterations=8, exact_last_iteration=last,
+                    frame_epsilon=f.tightness_eps)
+                rep = conversion.kashin_encode(f, column_unit(f, 5), cfg)
+                assert len(calls) == rep.iterations_used - last >= 2
+                assert set(calls) == {(f.N,)}
 
 
 class TestTruncationOperator:
@@ -449,19 +494,12 @@ class TestApproximateClipVariant:
         soft = conversion.kashin_encode(frame_8x16, x, soft_cfg)
         assert np.max(np.abs(soft.coefficients - hard.coefficients)) <= 1e-8
 
-    def test_custom_map_goes_through_verification(self, frame_8x16,
-                                                  exact_up_8x16):
-        eta, _ = exact_up_8x16
-        cfg = conversion.ConversionConfig(
-            up=uncertainty.UPParams(eta=eta, delta=2 / 16),
-            truncation=conversion.TruncationSpec(
+    def test_custom_map_goes_through_verification(self):
+        with pytest.raises(ContractViolation):
+            conversion.TruncationSpec(
                 mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
                 scalar_map=lambda z: 1.5 * z,
-            ),
-            iterations=1,
-        )
-        with pytest.raises(ContractViolation):
-            conversion.kashin_encode(frame_8x16, np.ones(8), cfg)
+            )
 
     def test_accepted_custom_map_is_used(self, frame_8x16, exact_up_8x16):
         eta, _ = exact_up_8x16
@@ -620,9 +658,12 @@ def _reference_encode(f, x, cfg):
             scale[over] = M / mags[over]
             b_hat = b * scale
         else:
-            b_hat = np.array([M * complex(scalar_map(complex(z / M))) for z in b])
+            # the array contract: coefficients the map leaves alone keep b
+            u = b / M
+            t = np.asarray(scalar_map(u))
             if not np.iscomplexobj(b):
-                b_hat = linalg.real_if_exact(b_hat)
+                t = linalg.real_if_exact(t)
+            b_hat = np.where(t != u, M * t, b)
         counts.append(int(np.count_nonzero(b_hat != b)))
         a = a + b_hat
         residual = residual - frames.synthesis(f, b_hat)
@@ -689,25 +730,49 @@ class TestParsevalPasses:
             assert rep.iterations_used == len(norms)
             assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
             assert rep.coefficients.dtype == np.asarray(a).dtype
-            if truncation != "map":
-                assert rep.clip_counts == tuple(counts)
+            assert rep.clip_counts == tuple(counts)
             clipped += rep.clip_counts[0] > 0
         assert clipped >= 3  # every column input clips
 
+    @pytest.mark.parametrize("name", sorted(_PARSEVAL_FRAMES) + ["gaussian"])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_default_map_matches_the_built_in_clip(self, name, last, eps_tight_frame):
+        if name == "gaussian":
+            f, eta, delta, iterations = eps_tight_frame, 0.45, 0.3, 8
+        else:
+            f, eta, delta, iterations = _PARSEVAL_FRAMES[name](), 0.9, 0.05, 20
+        reps = {}
+        for truncation in ("approximate", "map"):
+            cfg = conversion.ConversionConfig(
+                up=uncertainty.UPParams(eta=eta, delta=delta),
+                truncation=_TRUNCATIONS[truncation], iterations=iterations,
+                exact_last_iteration=last, frame_epsilon=f.tightness_eps)
+            reps[truncation] = [conversion.kashin_encode(f, x, cfg) for x in _inputs(f, 5)]
+        for built_in, mapped in zip(reps["approximate"], reps["map"]):
+            a = built_in.coefficients
+            assert mapped.clip_counts == built_in.clip_counts
+            assert np.linalg.norm(mapped.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+        assert any(sum(rep.clip_counts) for rep in reps["map"])
+
     def test_gaussian_frames_keep_the_full_synthesis_bits(self, eps_tight_frame):
         inputs = unit_vectors(16, 2, 73, complex_valued=True) + unit_vectors(16, 2, 79)
-        for spec in _TRUNCATIONS.values():
-            for last in (False, True):
-                cfg = conversion.ConversionConfig(
-                    up=uncertainty.UPParams(eta=0.45, delta=0.05), truncation=spec,
-                    iterations=8, exact_last_iteration=last,
-                    frame_epsilon=eps_tight_frame.tightness_eps)
-                for x in inputs:
-                    rep = conversion.kashin_encode(eps_tight_frame, x, cfg)
-                    a, norms, counts = _reference_encode(eps_tight_frame, x, cfg)
-                    assert np.array_equal(rep.coefficients, a)
-                    assert rep.residual_norms == tuple(norms)
-                    assert rep.clip_counts == tuple(counts)
+        inputs.append(column_unit(eps_tight_frame, 5))
+        clipped = 0
+        # nothing clips at delta = 0.05; at 0.3 first passes do
+        for spec, last, delta in itertools.product(_TRUNCATIONS.values(), (False, True),
+                                                   (0.05, 0.3)):
+            cfg = conversion.ConversionConfig(
+                up=uncertainty.UPParams(eta=0.45, delta=delta), truncation=spec,
+                iterations=8, exact_last_iteration=last,
+                frame_epsilon=eps_tight_frame.tightness_eps)
+            for x in inputs:
+                rep = conversion.kashin_encode(eps_tight_frame, x, cfg)
+                a, norms, counts = _reference_encode(eps_tight_frame, x, cfg)
+                assert np.array_equal(rep.coefficients, a)
+                assert rep.residual_norms == tuple(norms)
+                assert rep.clip_counts == tuple(counts)
+                clipped += sum(counts)
+        assert clipped > 0
 
     @staticmethod
     def _spy(monkeypatch, module, name):
