@@ -229,8 +229,8 @@ def _truncate_block(
     the only ones written: the rest keep their exact bits.  A scalar map
     sees ``b/M`` in one call, and where ``t(b/M)`` differs from ``b/M``
     the coefficient becomes ``M t``.  Raises :class:`InvalidParams`
-    unless M is positive, as it stops being when a subnormal input norm
-    or a long run of passes underflows it.
+    unless M is positive, as it stops being when a long run of passes on
+    an input of tiny norm underflows it.
     """
     if not M > 0.0:
         raise InvalidParams(f"clip level must be positive, got {M}")
@@ -344,7 +344,8 @@ def kashin_encode(
     the measured ratio, when a per-pass contraction exceeds eta' + 0.05 —
     the supplied (eta, delta) do not hold for this frame — and
     :class:`InvalidParams` when the norm of a finite input exceeds the
-    float64 range.
+    float64 range or, for a nonzero input, lies below its normal range
+    (``np.finfo(np.float64).tiny``), where the bounds' margins underflow.
 
     On a Parseval frame (measured defect at most 1e-12) the loop runs in
     coefficient space.  It analyzes ``x`` once, ``b_1 = U* x``; pass k
@@ -389,6 +390,8 @@ def kashin_encode(
         raise InvalidParams("input norm exceeds the float64 range")
     if norm == 0.0:
         return _zero_representation(f.N, level, v.dtype)
+    if norm < np.finfo(np.float64).tiny:
+        raise InvalidParams("input norm lies below the normal float64 range")
     if cfg.iterations is not None:
         r = cfg.iterations
     else:

@@ -6,7 +6,8 @@ Orthonormal rows mean the columns form a Parseval (tight) frame: analysis
 followed by synthesis reproduces the input exactly.  Partial Fourier frames
 never materialize their matrix; both operators are routed through the
 unitary DFT and a row selection, and their Gram operator U* U is
-circulant, which :class:`GramStep` uses on small supports.
+circulant, which :class:`GramStep` uses on small supports and for the
+Gram blocks that calibration scores.
 """
 
 from __future__ import annotations
@@ -329,18 +330,22 @@ class GramStep:
     synthesis, ``sqrt(Re <a, G a>)`` summed over the support alone.
     ``step.synthesis_norm(a, support)`` returns ``norm(U a)`` without
     ``G a``, for a caller that needs no coefficients after it.
+    ``step.block(supports)`` returns the Gram block ``G[S, S]``: (k, k)
+    for a support of k indices, (B, k, k) for a (B, k) array of them.
 
     A dense frame runs :func:`synthesis` on the support, then a full
     :func:`analysis` for ``G a`` (the norm alone takes only the
-    synthesis).  On a partial Fourier frame G is circulant: column t is
-    ``c = ifft(1_Omega)`` rotated by t.  So a support of at most
-    ``_GRAM_ROTATIONS`` indices gives ``G a`` as a sum of that many
-    rotated copies of c, at O(N) each, and ``norm(U a)`` from the
-    support's block of G, with no FFT; a wider support takes the FFT pair
-    (the norm alone, one synthesis).  c is built at the first such step
-    and lives as long as the object, so make one per encode and let it go
-    with the encode: a kernel cached on the frame would be a long-lived
-    mid-run allocation (see :func:`columns`).
+    synthesis), and forms a block from the gathered columns, in real
+    arithmetic for a real frame.  On a partial Fourier frame G is
+    circulant: column t is ``c = ifft(1_Omega)`` rotated by t, so a block
+    is a gather from c.  A support of at most ``_GRAM_ROTATIONS`` indices
+    gives ``G a`` as a sum of that many rotated copies of c, at O(N) each,
+    and ``norm(U a)`` from the support's block, with no FFT; a wider
+    support takes the FFT pair (the norm alone, one synthesis).  c is
+    built at the first step or block that needs it and lives as long as
+    the object, so make one per encode or calibration and let it go with
+    it: a kernel cached on the frame would be a long-lived mid-run
+    allocation (see :func:`columns`).
     """
 
     def __init__(self, frame: FrameMatrix):
@@ -377,10 +382,15 @@ class GramStep:
     def synthesis_norm(self, coeffs, support) -> float:
         if not self._rotations(support):
             return linalg.norm2(synthesis(self.frame, coeffs, support=support))
-        s = np.asarray(support, dtype=np.int64)
-        block = self._circulant()[self.frame.N + np.subtract.outer(s, s)]
-        a = coeffs[s]
-        return _quadratic_norm(a, block @ a)
+        a = coeffs[support]
+        return _quadratic_norm(a, self.block(support) @ a)
+
+    def block(self, supports) -> np.ndarray:
+        s = np.asarray(supports, dtype=np.int64)
+        if self.frame.kind == PARTIAL_FOURIER:
+            return self._circulant()[self.frame.N + s[..., :, None] - s[..., None, :]]
+        sub = np.moveaxis(columns(self.frame, s), 0, -2)
+        return np.swapaxes(sub.conj(), -1, -2) @ sub
 
 
 def frame_norm_sum(frame: FrameMatrix) -> float:

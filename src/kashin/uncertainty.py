@@ -8,12 +8,13 @@ fixes the achievable spreading level K.  This module measures eta for
 concrete frames (exactly for small problems, by random search otherwise)
 and converts calibrations into levels.
 
-A support S is scored by the top singular value of the column submatrix
-U_S.  Supports are scored in chunks: one gather builds a (B, n, k) block of
-submatrices, one batched matmul their k x k Gram matrices, and one stacked
-Hermitian eigen-solve their top eigenvectors v; the score is ``||U_S v||``.
-Random supports wider than ``_EXACT_SVD_WIDTH`` are scored one at a time by
-power iteration instead.
+A support S is scored by the top eigenvalue lambda of its Gram block
+``G[S, S] = U_S* U_S``, whose square root is the top singular value of the
+column submatrix U_S.  Supports are scored in chunks at every width: one
+gather builds a (B, k, k) stack of blocks (see
+:meth:`frames.GramStep.block`) and one stacked Hermitian eigen-solve gives
+their eigenvalues.  The first support with the largest lambda wins, and
+one eigen-solve of its block gives the witness vector.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ import numpy as np
 from . import frames, linalg
 from .errors import BudgetExceeded, InvalidParams
 
-# up_estimate scores supports at most this wide exactly, wider ones by
-# power iteration
-_EXACT_SVD_WIDTH = 32
-# entries of one gathered block of column submatrices in a stacked solve
+# a chunk of supports holds at most this many entries of gathered dense
+# columns, n per support index; partial Fourier chunks gather only the
+# Gram entries, k per support index, so theirs are smaller
 _CHUNK_ENTRIES = 1 << 16
 # support-enumeration budget for the exhaustive check
 _EXACT_BUDGET = 1_000_000
-
-_POWER_ITERS = 50
-_POWER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,9 @@ class UPWitness:
     """Worst support found during calibration.
 
     ``vector`` is a unit coefficient vector of full length N vanishing off
-    ``support``; ``ratio`` is the synthesis norm it realizes, recomputable
-    as ``norm(synthesis(frame, vector))``.
+    ``support``, a top eigenvector of the support's Gram block; ``ratio``
+    is the top singular value of ``U_S``, the synthesis norm ``vector``
+    realizes up to rounding (``norm(synthesis(frame, vector))``).
     """
 
     support: tuple[int, ...]
@@ -85,43 +83,6 @@ def support_width(delta: float, N: int) -> int:
     return width
 
 
-def _top_singular(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest singular value of each matrix in a (B, n, k) stack, with a
-    right singular vector.
-
-    One batched matmul forms the k x k Gram matrices, in real arithmetic
-    for a real (float64) block, and one stacked ``eigh`` gives each
-    Gram matrix's top unit eigenvector v.  The value is computed as
-    ``norm(sub @ v)``, so it is a genuine lower bound on the operator norm,
-    equal to it up to rounding.  Returns the (B,) values and the (B, k)
-    vectors.
-    """
-    gram = block.conj().transpose(0, 2, 1) @ block
-    v = np.linalg.eigh(gram)[1][..., -1]
-    return np.linalg.norm(block @ v[..., None], axis=(1, 2)), v
-
-
-def _power_top(sub: np.ndarray, scratch_rng) -> tuple[float, np.ndarray]:
-    """Largest singular value of ``sub`` by power iteration on its Gram
-    matrix, with the final unit iterate v.  The value is ``norm(sub @ v)``,
-    a genuine lower bound on the operator norm that may undershoot it."""
-    k = sub.shape[1]
-    gram = sub.conj().T @ sub
-    v = scratch_rng.standard_normal(k) + 1j * scratch_rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(_POWER_ITERS):
-        w = gram @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        if abs(nw - prev) <= _POWER_TOL * max(nw, 1.0):
-            break
-        prev = nw
-    return float(np.linalg.norm(sub @ v)), v
-
-
 def _witness(N: int, support: np.ndarray, vec: np.ndarray, ratio) -> UPWitness:
     full = np.zeros(N, dtype=vec.dtype)
     full[support] = vec
@@ -136,19 +97,22 @@ def _chunk(frame: frames.FrameMatrix, k: int) -> int:
     return max(1, _CHUNK_ENTRIES // (frame.n * k))
 
 
-def _score(
-    frame: frames.FrameMatrix, supports: np.ndarray, best: UPWitness | None
-) -> UPWitness:
-    """Score a (B, k) array of supports in one stacked solve.
-
-    Returns the witness of the first maximum in ``supports`` when it
-    beats ``best`` strictly, and ``best`` otherwise.
-    """
-    ratios, vecs = _top_singular(frames.columns(frame, supports).transpose(1, 0, 2))
-    i = int(np.argmax(ratios))
-    if best is not None and ratios[i] <= best.ratio:
-        return best
-    return _witness(frame.N, supports[i], vecs[i], ratios[i])
+def _worst(frame: frames.FrameMatrix, chunks) -> UPWitness:
+    """Witness of the first support with the largest top Gram eigenvalue
+    over an iterable of (B, k) support arrays, each scored in one stacked
+    ``eigvalsh``.  Raises :class:`InvalidParams` for a non-finite
+    eigenvalue, as a frame entry that is not finite gives."""
+    gram = frames.GramStep(frame)
+    top, worst = -math.inf, None
+    for supports in chunks:
+        lam = np.linalg.eigvalsh(gram.block(supports))[:, -1]
+        if not np.all(np.isfinite(lam)):
+            raise InvalidParams("a Gram block of the frame is not finite")
+        i = int(np.argmax(lam))
+        if lam[i] > top:
+            top, worst = float(lam[i]), supports[i]
+    vec = np.linalg.eigh(gram.block(worst))[1][:, -1]
+    return _witness(frame.N, worst, vec, math.sqrt(max(top, 0.0)))
 
 
 def up_check_exact(
@@ -160,8 +124,7 @@ def up_check_exact(
     supports are dominated by larger ones containing them), in
     lexicographic order and in chunks scored by one stacked Gram
     eigen-solve each, and returns the largest top singular value with its
-    witness.  Every width is solved exactly, not by power iteration.  Ties
-    keep the lexicographically first support.  Raises
+    witness.  Ties keep the lexicographically first support.  Raises
     :class:`BudgetExceeded` once the support count passes a fixed budget;
     use :func:`up_estimate` then.
     """
@@ -173,10 +136,11 @@ def up_check_exact(
         )
     combos = itertools.combinations(range(frame.N), k)
     chunk = _chunk(frame, k)
-    best = None
-    while batch := list(itertools.islice(combos, chunk)):
-        best = _score(frame, np.asarray(batch, dtype=np.int64), best)
-    return best.ratio, best
+    worst = _worst(frame, (
+        np.asarray(batch, dtype=np.int64)
+        for batch in iter(lambda: list(itertools.islice(combos, chunk)), [])
+    ))
+    return worst.ratio, worst
 
 
 def up_estimate(
@@ -184,35 +148,26 @@ def up_estimate(
 ) -> tuple[float, UPWitness]:
     """Randomized lower estimate of the worst-case synthesis norm.
 
-    Draws ``trials`` uniform supports of the allowed width and keeps the
-    largest top singular value seen (ties keep the first draw).  Always a
-    lower bound on the exact answer.  Supports up to ``_EXACT_SVD_WIDTH``
-    wide are scored exactly, in chunks of one stacked Gram eigen-solve
-    each; wider ones by power iteration, whose start vectors come from the
-    same generator as the supports.  The witness is captured at each
-    improvement, so the reported (support, vector, ratio) triple is
-    self-consistent.
+    Draws ``trials`` uniform supports of the allowed width, one
+    permutation of the seeded generator each, and returns the largest top
+    singular value among them with its witness (ties keep the first
+    draw).  Each support is scored exactly, in chunks of one stacked Gram
+    eigen-solve each, so the value is the exact worst case over the drawn
+    supports and a lower bound on the answer of :func:`up_check_exact`.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be positive, got {trials}")
     k = support_width(delta, frame.N)
     g = linalg.rng_from_seed(seed)
-    best = None
-    if k <= _EXACT_SVD_WIDTH:
-        chunk = _chunk(frame, k)
-        for start in range(0, trials, chunk):
-            draws = [
-                np.sort(g.permutation(frame.N)[:k])
-                for _ in range(min(chunk, trials - start))
-            ]
-            best = _score(frame, np.asarray(draws, dtype=np.int64), best)
-        return best.ratio, best
-    for _ in range(trials):
-        support = np.sort(g.permutation(frame.N)[:k]).astype(np.int64)
-        value, vec = _power_top(frames.columns(frame, support), g)
-        if best is None or value > best.ratio:
-            best = _witness(frame.N, support, vec, value)
-    return best.ratio, best
+    chunk = _chunk(frame, k)
+    worst = _worst(frame, (
+        np.asarray([
+            np.sort(g.permutation(frame.N)[:k])
+            for _ in range(min(chunk, trials - start))
+        ], dtype=np.int64)
+        for start in range(0, trials, chunk)
+    ))
+    return worst.ratio, worst
 
 
 def uup_to_up(epsilon: float, delta: float, n: int, N: int) -> UPParams:
@@ -242,10 +197,12 @@ def theoretical_eta(family: frames.FrameFamily) -> float | None:
     ``eta = 1 - mu/4`` where ``mu = N/n - 1``, for sufficiently small
     delta (the admissible delta involves constants not pinned down here,
     so treat the value as advisory and calibrate with
-    :func:`up_estimate`).  Subgaussian families carry no usable constant:
-    returns ``None``.
+    :func:`up_estimate`).  Returns ``None`` where no usable constant
+    exists: for subgaussian families, and where ``1 - mu/4`` leaves
+    (0, 1), as it does once N >= 5n.
     """
     if family.tag in (frames.RANDOM_ORTHOGONAL, frames.PARTIAL_FOURIER):
-        mu = family.N / family.n - 1.0
-        return 1.0 - mu / 4.0
+        eta = 1.0 - (family.N / family.n - 1.0) / 4.0
+        if 0.0 < eta < 1.0:
+            return eta
     return None

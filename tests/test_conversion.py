@@ -908,9 +908,24 @@ class TestParsevalPasses:
     def test_an_underflowing_clip_level_is_rejected(self, name):
         f = _PARSEVAL_FRAMES[name]()
         x = np.zeros(f.n)
-        x[0] = 5e-324  # M = norm / sqrt(delta N) rounds to 0
-        with pytest.raises(InvalidParams, match="clip level must be positive"):
+        # M = norm / sqrt(delta N) would round to 0; the subnormal input
+        # norm is refused before any pass
+        x[0] = 5e-324
+        with pytest.raises(InvalidParams, match="below the normal float64 range"):
             conversion.kashin_encode(f, x, _exact_cfg(0.9, 0.05, iterations=20))
+
+    @pytest.mark.parametrize("name", ["real", "fourier-480"])
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320])
+    def test_a_subnormal_input_norm_is_refused(self, name, scale):
+        # below the normal range the bound's margins underflow: completed
+        # encodes certified 0.0 against an error near 1e-322
+        f = _PARSEVAL_FRAMES[name]()
+        cfg = _exact_cfg(0.9, 0.05, iterations=20, exact_last_iteration=True)
+        for x in (column_unit(f, 3), unit_vectors(f.n, 1, 61)[0]):
+            with pytest.raises(InvalidParams, match="below the normal float64 range"):
+                conversion.kashin_encode(f, scale * x, cfg)
+        rep = conversion.kashin_encode(f, np.zeros(f.n), cfg)
+        assert not np.any(rep.coefficients) and rep.residual_bound == 0.0
 
     @pytest.mark.parametrize("last", [False, True])
     def test_certificate_covers_a_slightly_loose_frame(self, frame_64x128, last):

@@ -94,8 +94,6 @@ class TestExactCheck:
 
     @pytest.mark.parametrize("n, N, k", [(4, 36, 33), (8, 35, 34)])
     def test_exact_at_every_width(self, n, N, k):
-        # widths past the sampler's exact-SVD cutoff are still solved
-        # exactly, not by power iteration
         f = frames.gen_random_orthogonal(n, N, 2)
         eta, w = uncertainty.up_check_exact(f, k / N)
         supports = np.array(list(itertools.combinations(range(N), k)))
@@ -103,6 +101,16 @@ class TestExactCheck:
         top = np.linalg.svd(subs, compute_uv=False)[:, 0].max()
         assert abs(eta - top) <= 1e-12 * top
         assert len(w.support) == k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_gram_block_is_refused(self, frame_8x16, bad):
+        m = frame_8x16.matrix.copy()
+        m[2, 3] = bad
+        f = frames.FrameMatrix(n=8, N=16, kind=frames.DENSE, matrix=m)
+        with pytest.raises(InvalidParams, match="not finite"):
+            uncertainty.up_check_exact(f, 2 / 16)
+        with pytest.raises(InvalidParams, match="not finite"):
+            uncertainty.up_estimate(f, 2 / 16, trials=20, seed=1)
 
     def test_budget_guard(self, frame_64x128):
         with pytest.raises(BudgetExceeded):
@@ -150,6 +158,20 @@ class TestEstimate:
         assert abs(eta - max(tops)) <= 1e-12 * max(tops)
         assert w.support in {tuple(int(i) for i in s) for s in draws}
 
+    @pytest.mark.parametrize("family", ["dense", "fourier"])
+    def test_wide_supports_score_every_draw_exactly(self, family):
+        # width 38: each drawn support is scored by its exact sigma_max, and
+        # the draws are one permutation per trial at every width
+        f = (frames.gen_random_orthogonal(16, 64, 3) if family == "dense"
+             else frames.gen_partial_fourier(64, 16, 3, mode=frames.EXACT_N))
+        matrix = frames.dense(f)
+        g = linalg.rng_from_seed(12)
+        draws = [np.sort(g.permutation(64)[:38]) for _ in range(10)]
+        tops = [np.linalg.svd(matrix[:, s], compute_uv=False)[0] for s in draws]
+        eta, w = uncertainty.up_estimate(f, 38 / 64, trials=10, seed=12)
+        assert abs(eta - max(tops)) <= 1e-12 * max(tops)
+        assert w.support == tuple(int(i) for i in draws[int(np.argmax(tops))])
+
     def test_wide_support_path_against_direct_svd(self):
         f = frames.gen_random_orthogonal(16, 64, 3)
         _check_wide_support(f, f.matrix)
@@ -161,15 +183,13 @@ class TestEstimate:
 
 
 def _check_wide_support(f, matrix):
-    # widths past the exact-SVD cutoff go through power iteration; check
-    # the reported value against a full decomposition of the same
-    # submatrix, which it may undershoot but never exceed.
+    # a wide support's value equals a full decomposition of the same
+    # submatrix, and its witness vector realizes it
     eta, w = uncertainty.up_estimate(f, 38 / 64, trials=5, seed=1)
     assert len(w.support) == 38
     sub = matrix[:, np.asarray(w.support)]
     top = np.linalg.svd(sub, compute_uv=False)[0]
-    assert eta <= top + 1e-9
-    assert eta >= 0.98 * top
+    assert abs(eta - top) <= 1e-12 * top
     realized = np.linalg.norm(frames.synthesis(f, w.vector))
     assert realized == pytest.approx(eta, abs=1e-9)
 
@@ -178,23 +198,27 @@ class TestStackedSolve:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        shape=st.tuples(st.integers(1, 5), st.integers(1, 9), st.integers(1, 9)),
-        complex_valued=st.booleans(),
+        kind=st.sampled_from(["dense-real", "dense-complex", "fourier"]),
+        batch=st.one_of(st.none(), st.integers(1, 4)),
+        k=st.integers(1, 7),
     )
-    def test_matches_an_svd_oracle(self, seed, shape, complex_valued):
+    def test_gram_block_matches_a_dense_oracle(self, seed, kind, batch, k):
         g = linalg.rng_from_seed(seed)
-        block = g.standard_normal(shape).astype(np.complex128)
-        if complex_valued:
-            block += 1j * g.standard_normal(shape)
-        ratios, vecs = uncertainty._top_singular(block)
-        top = np.linalg.svd(block, compute_uv=False)[:, 0]
-        assert ratios.shape == top.shape
-        assert vecs.shape == (shape[0], shape[2])
-        assert np.all(np.abs(ratios - top) <= 1e-12 * top)
-        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
-        # the value is the norm the returned vector realizes
-        realized = np.linalg.norm(block @ vecs[..., None], axis=(1, 2))
-        assert np.all(np.abs(ratios - realized) <= 1e-12 * top)
+        if kind == "fourier":
+            f = frames.gen_partial_fourier(24, 10, seed % 1000, mode=frames.EXACT_N)
+        else:
+            m = g.standard_normal((6, 24))
+            if kind == "dense-complex":
+                m = m + 1j * g.standard_normal((6, 24))
+            f = frames.FrameMatrix(n=6, N=24, kind=frames.DENSE, matrix=m)
+        shape = (k,) if batch is None else (batch, k)
+        supports = np.sort(g.integers(0, 24, size=shape), axis=-1)
+        block = frames.GramStep(f).block(supports)
+        d = frames.dense(f)
+        oracle = (d.conj().T @ d)[supports[..., :, None], supports[..., None, :]]
+        assert block.shape == shape + (k,)
+        assert np.iscomplexobj(block) == (kind != "dense-real")
+        assert np.max(np.abs(block - oracle), initial=0.0) <= 1e-12 * max(1.0, np.abs(oracle).max())
 
     @pytest.mark.parametrize("frame", [
         frames.gen_random_orthogonal(8, 16, 11),
@@ -243,6 +267,14 @@ class TestConversions:
                 truncation=conversion.TruncationSpec(), iterations=1,
             )
             assert conversion.adjusted_parameters(cfg)[2] == pytest.approx(K, abs=1e-12)
+
+    @pytest.mark.parametrize("tag", [frames.RANDOM_ORTHOGONAL, frames.PARTIAL_FOURIER])
+    @pytest.mark.parametrize("n, N", [(8, 40), (8, 64), (8, 8)])
+    def test_no_a_priori_eta_outside_the_unit_interval(self, tag, n, N):
+        # 1 - mu/4 is 0 at N = 5n, -0.75 at N = 8n and 1 at N = n, none of
+        # which UPParams accepts
+        fam = frames.FrameFamily(tag=tag, n=n, N=N, seed=0)
+        assert uncertainty.theoretical_eta(fam) is None
 
     def test_a_priori_eta_values(self):
         assert uncertainty.theoretical_eta(
