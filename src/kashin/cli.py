@@ -5,7 +5,7 @@ Every subcommand is a thin wrapper over the library; anything it prints
 can be reproduced by direct calls with the same parameters.  Exit codes:
 0 success, 1 malformed files or flags (including I/O failures), 2
 mathematical contract violations (non-convergence, invalid
-configurations, and the like).
+configurations, a ``bench`` row over its bound, and the like).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import conversion, formats, frames, quantize, sweeps, uncertainty
-from .errors import FormatError, InvalidParams, KashinError
+from .errors import FormatError, InvalidConfig, InvalidParams, KashinError
 
 _FAMILY_FLAGS = {
     "orthogonal": frames.RANDOM_ORTHOGONAL,
@@ -115,11 +115,29 @@ def _simulate_args(p) -> None:
     p.add_argument("--csv", required=True)
 
 
+def _shape(text: str) -> tuple[int, int]:
+    try:
+        n, N = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NxM, got {text!r}") from None
+    return n, N
+
+
 def _bench_args(p) -> None:
-    p.add_argument("--suite", required=True,
-                   choices=["decay", "quantization", "corruption"])
-    p.add_argument("--trials", type=int,
-                   help="override the per-setting trial count")
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
+    p.add_argument("--shapes", type=_shape, nargs="+", default=[(64, 128)],
+                   metavar="NxM")
+    p.add_argument("--families", nargs="+", default=["orthogonal"],
+                   choices=sorted(_FAMILY_FLAGS))
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--passes", type=int)
+    p.add_argument("--trials", type=int, help="inputs per frame")
+    p.add_argument("--levels", type=int, nargs="+")
+    p.add_argument("--models", nargs="+",
+                   choices=["adversarial", "erasure", "quantize"])
+    p.add_argument("--damage", type=float, nargs="+")
+    p.add_argument("--baseline", action="store_true", default=None,
+                   help="add raw-frame rows to quantize cells")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True)
 
@@ -185,13 +203,17 @@ def _truncation_from_flag(flag: str | None) -> conversion.TruncationSpec:
     )
 
 
-def _require_trials(args) -> None:
-    """A given ``--trials`` count must be at least 1."""
-    if args.trials is not None and args.trials < 1:
-        raise _UsageError(
-            f"kashin {args.command}: argument --trials: must be at least 1, "
-            f"got {args.trials}"
-        )
+def _require_counts(args, **least) -> None:
+    """Each given count flag, or each entry of a list-valued one, must be
+    at least ``least[flag]``."""
+    for name, low in least.items():
+        values = getattr(args, name)
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None and value < low:
+                raise _UsageError(
+                    f"kashin {args.command}: argument --{name}: must be at "
+                    f"least {low}, got {value}"
+                )
 
 
 def _conversion_config(frame, eta, delta, iters, accuracy, exact_last,
@@ -261,7 +283,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _require_trials(args)
+    _require_counts(args, trials=1)
     frame = formats.read_frame(args.frame)
     x = formats.read_vector(args.infile, args.format)
     tag = _MODEL_FLAGS[args.model]
@@ -295,26 +317,72 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _decay_rows(family, args) -> list:
+    sweep = sweeps.decay_sweep(family, args.delta, args.passes, args.trials)
+    finals = [row.l2_error for row in sweep.rows]
+    print(f"  eta={sweep.eta:.4f} (sampled + {sweeps.ETA_MARGIN}; "
+          f"adjusted {sweep.eta_adjusted:.4f}, level {sweep.level:.1f}); "
+          f"worst per-pass ratio={sweep.worst_ratio:.4f}; "
+          f"final residual median={np.median(finals):.3e} "
+          f"max={max(finals):.3e} vs bound={sweep.rows[0].bound:.3e}")
+    return sweep.rows
+
+
+def _channel_rows(family, args) -> list:
+    # levels x models x damages; quantize-only cells damage nothing
+    cells = [(_MODEL_FLAGS[model], damage, levels)
+             for levels in args.levels for model in args.models
+             for damage in ([0.0] if model == "quantize" else args.damage)]
+    per_cell = sweeps.channel_sweep(family, args.delta, args.passes, cells,
+                                    args.trials, baseline=args.baseline)
+    print(f"  eta={per_cell[0][0].up_eta:.4f}")
+    for (tag, damage, levels), rows in zip(cells, per_cell):
+        errors = [row.l2_error for row in rows if row.model == tag]
+        base = [row.l2_error for row in rows if row.model == "baseline"]
+        extra = f"  baseline median={np.median(base):.4e}" if base else ""
+        print(f"  L={levels:5d} {tag:13s} damage={damage:.4f} "
+              f"median l2={np.median(errors):.4e}{extra}")
+    return [row for rows in per_cell for row in rows]
+
+
+# suite -> (sweep, defaults of the flags left unset); the channel flags
+# apply only to the suites whose row sets them
+_SUITES = {
+    "decay": (_decay_rows, {"passes": 20, "trials": 200}),
+    "quantization": (_channel_rows, {
+        "passes": 12, "trials": 100, "levels": [16, 64, 256],
+        "models": ["quantize"], "damage": [4 / 128], "baseline": False}),
+    "corruption": (_channel_rows, {
+        "passes": 12, "trials": 100, "levels": [64], "models": ["adversarial"],
+        "damage": [1 / 128, 4 / 128, 8 / 128], "baseline": False}),
+}
+
+
 def _cmd_bench(args) -> int:
-    _require_trials(args)
-    family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, 64, 128, args.seed)
-    if args.suite == "decay":
-        trials = 200 if args.trials is None else args.trials
-        rows = sweeps.decay_sweep(family, 0.05, 20, trials).rows
-    else:
-        if args.suite == "quantization":
-            cells = [(quantize.QUANTIZE_ONLY, 0.0, levels) for levels in (16, 64, 256)]
-        else:
-            cells = [(quantize.ADVERSARIAL, k / 128, 64) for k in (1, 4, 8)]
-        trials = 100 if args.trials is None else args.trials
-        rows = [row for cell in sweeps.channel_sweep(family, 0.05, 12, cells, trials)
-                for row in cell]
+    sweep, defaults = _SUITES[args.suite]
+    for name in ("levels", "models", "damage", "baseline"):
+        if getattr(args, name) is not None and name not in defaults:
+            raise _UsageError(f"kashin bench: argument --{name}: does not "
+                              f"apply to --suite {args.suite}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    _require_counts(args, trials=1, passes=1, levels=2)
+    rows = []
+    for flag in args.families:
+        for n, N in args.shapes:
+            family = frames.FrameFamily(_FAMILY_FLAGS[flag], n, N, args.seed)
+            print(f"{family.tag} n={n} N={N} delta={args.delta} passes={args.passes}")
+            try:
+                rows += sweep(family, args)
+            except InvalidConfig as exc:  # eta' >= 1: no contraction
+                print(f"  skipped: {exc}")
     formats.write_experiment_csv(args.csv, rows)
     violations = sum(not r.bound_ok for r in rows)
     print(f"suite: {args.suite}")
     print(f"rows: {len(rows)}")
     print(f"bound violations: {violations}")
-    return 0
+    return 2 if violations else 0
 
 
 # command -> (handler, help line, argument builder)

@@ -391,10 +391,15 @@ def frame_baseline_quantize(f: frames.FrameMatrix, x, levels_L: int) -> Distorti
     baseline a spread representation beats.
 
     Raw coefficients can individually reach norm(x), so the quantizer
-    range is [-norm(x), norm(x)] and the reported budget bound is
-    ``sqrt(n)/L * norm(x)``.  Requires a tight frame.  Complex mode
-    switches on automatically when the coefficients carry imaginary
-    mass.
+    range is [-norm(x), norm(x)].  Requires a tight frame (defect
+    eps <= 1e-6).  Complex mode switches on automatically when the
+    coefficients carry imaginary mass.  Each real component of the N
+    coefficients then moves by at most (1/L + eps)*norm(x), the eps term
+    covering a coefficient beyond the range, so with c = sqrt(2) in
+    complex mode else 1 the reported budget bound is
+    ``(1+eps)*c*sqrt(N)*(1/L + eps)*norm(x) + (2*eps + eps**2)*norm(x)``,
+    the last term bounding how far U U* x strays from x.  In real mode the
+    dropped imaginary parts add ``(1+eps)*norm(Im b)``.
     """
     if f.tightness_eps > 1e-6:
         raise InvalidParams(
@@ -404,7 +409,6 @@ def frame_baseline_quantize(f: frames.FrameMatrix, x, levels_L: int) -> Distorti
     if v.shape[0] != f.n:
         raise DimensionMismatch(f"expected a length-{f.n} vector")
     norm = linalg.norm2(v)
-    bound = math.sqrt(f.n) / levels_L * norm
     if norm == 0.0:
         return _report(0.0, 0.0, 0)
     b = frames.analysis(f, v)
@@ -415,6 +419,12 @@ def frame_baseline_quantize(f: frames.FrameMatrix, x, levels_L: int) -> Distorti
     )
     b_hat = quantize_coeffs(b, spec)[1]
     l2 = linalg.norm2(v - frames.synthesis(f, b_hat))
+    eps = f.tightness_eps
+    cfac = math.sqrt(2.0) if spec.complex_mode else 1.0
+    coeff_error = cfac * math.sqrt(f.N) * (1.0 / levels_L + eps) * norm
+    if not spec.complex_mode and np.iscomplexobj(b):
+        coeff_error += linalg.norm2(b.imag)
+    bound = (1.0 + eps) * coeff_error + (2.0 * eps + eps * eps) * norm
     return _report(l2, bound, 0)
 
 

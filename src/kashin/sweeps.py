@@ -1,8 +1,10 @@
-"""Experiment sweeps behind ``kashin bench`` and the scripts in ``scripts/``.
+"""Experiment sweeps behind ``kashin bench``.
 
-Each sweep draws its frame from a :class:`~kashin.frames.FrameFamily`,
-calibrates eta on it with :func:`calibrate`, and returns rows of the
-experiment CSV whose ``family`` column is the family tag.
+``kashin bench`` calls :func:`decay_sweep` or :func:`channel_sweep` once
+per frame family and shape.  Each sweep draws its frame from a
+:class:`~kashin.frames.FrameFamily`, calibrates eta on it with
+:func:`calibrate`, and returns rows of the experiment CSV whose ``family``
+column is the family tag.
 
 Input draws: a sweep draws its unit inputs from ``rng_from_seed(seed + 1)``
 and trial t carries seed ``seed + t`` (also the channel model's seed), with

@@ -1,7 +1,16 @@
+import dataclasses
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kashin import cli, conversion, formats, frames, linalg, quantize, uncertainty
+from kashin import (
+    cli, conversion, formats, frames, linalg, quantize, sweeps, uncertainty,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _value(out: str, label: str) -> float:
@@ -497,3 +506,113 @@ class TestBench:
         assert len(rows) == 6
         assert sorted({round(r.damage_fraction * 128) for r in rows}) == [1, 4, 8]
         assert all(r.bound_ok for r in rows)
+
+    def test_decay_over_all_families(self, tmp_path, capsys):
+        csv_path = tmp_path / "decay.csv"
+        assert cli.run([
+            "bench", "--suite", "decay", "--shapes", "16x32", "--trials", "2",
+            "--families", "orthogonal", "fourier", "gaussian", "bernoulli",
+            "--csv", str(csv_path),
+        ]) == 0
+        rows = formats.read_experiment_csv(csv_path)
+        # subgaussian frames at n = N/2 are too far from tight to contract
+        # (eta' >= 1), so they are skipped rather than swept
+        assert [r.family for r in rows] == [frames.RANDOM_ORTHOGONAL] * 2 + [
+            frames.PARTIAL_FOURIER] * 2
+        assert all((r.n, r.N, r.model, r.L) == (16, 32, "decay", 0) for r in rows)
+        assert all(r.bound_ok for r in rows)
+        out = capsys.readouterr().out
+        assert out.count("skipped: adjusted eta") == 2
+        assert out.count("worst per-pass ratio=") == 2
+
+    def test_channel_cells_with_baseline(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        assert cli.run([
+            "bench", "--suite", "quantization", "--levels", "16", "64",
+            "--models", "quantize", "erasure", "--baseline", "--trials", "2",
+            "--csv", str(csv_path),
+        ]) == 0
+        rows = formats.read_experiment_csv(csv_path)
+        # per level: 2 codec + 2 baseline quantize-only rows, 2 erasure rows
+        assert len(rows) == 12
+        assert {r.family for r in rows} == {frames.RANDOM_ORTHOGONAL}
+        assert [(r.L, r.model) for r in rows[:6]] == [
+            (16, quantize.QUANTIZE_ONLY), (16, "baseline")] * 2 + [
+            (16, quantize.ERASURE)] * 2
+        assert sorted({r.L for r in rows}) == [16, 64]
+        assert all(r.damage_fraction == (4 / 128 if r.model == quantize.ERASURE
+                                         else 0.0) for r in rows)
+        assert all(r.bound_ok for r in rows)
+        assert capsys.readouterr().out.count("baseline median=") == 2
+
+    def test_adversarial_rows_without_baseline(self, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        assert cli.run([
+            "bench", "--suite", "quantization", "--levels", "16", "--trials", "2",
+            "--models", "adversarial", "--csv", str(csv_path),
+        ]) == 0
+        rows = formats.read_experiment_csv(csv_path)
+        assert [(r.model, r.seed) for r in rows] == [(quantize.ADVERSARIAL, 0),
+                                                     (quantize.ADVERSARIAL, 1)]
+        assert all(r.bound_ok for r in rows)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["quantization", "--passes", "0"],
+         "argument --passes: must be at least 1, got 0"),
+        (["quantization", "--levels", "16", "1"],
+         "argument --levels: must be at least 2, got 1"),
+        (["quantization", "--shapes", "64by128"],
+         "argument --shapes: expected NxM, got '64by128'"),
+        (["decay", "--levels", "16"],
+         "argument --levels: does not apply to --suite decay"),
+        (["decay", "--models", "erasure"],
+         "argument --models: does not apply to --suite decay"),
+        (["decay", "--damage", "0.1"],
+         "argument --damage: does not apply to --suite decay"),
+        (["decay", "--baseline"],
+         "argument --baseline: does not apply to --suite decay"),
+    ])
+    def test_bad_sweep_flag_is_a_usage_error(self, tmp_path, capsys, flags,
+                                             message):
+        csv_path = tmp_path / "sweep.csv"
+        assert cli.run([
+            "bench", "--suite", *flags, "--csv", str(csv_path),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: kashin bench: {message}\n"
+        assert not csv_path.exists()
+
+    def test_bound_violation_exits_two(self, tmp_path, capsys, monkeypatch):
+        decay_sweep = sweeps.decay_sweep
+
+        def violating(*args):
+            sweep = decay_sweep(*args)
+            row = dataclasses.replace(sweep.rows[0], bound=0.0, bound_ok=False)
+            return dataclasses.replace(sweep, rows=[row, *sweep.rows[1:]])
+
+        monkeypatch.setattr(sweeps, "decay_sweep", violating)
+        csv_path = tmp_path / "decay.csv"
+        assert cli.run([
+            "bench", "--suite", "decay", "--trials", "2", "--csv", str(csv_path),
+        ]) == 2
+        assert _value(capsys.readouterr().out, "bound violations") == 1
+        assert [r.bound_ok for r in formats.read_experiment_csv(csv_path)] == [
+            False, True]
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``kashin ...`` command line in the README's ``sh`` blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("kashin ")]
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+        for argv in commands:
+            cli._build_parser(argv[0]).parse_args(argv)
+
+    def test_names_no_script_path(self):
+        assert "scripts/" not in README.read_text()

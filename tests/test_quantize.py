@@ -572,6 +572,22 @@ class TestBaseline:
         with pytest.raises(DimensionMismatch):
             quantize.frame_baseline_quantize(frame_8x16, np.ones(9), 16)
 
+    @pytest.mark.parametrize("frame, complex_valued", [
+        (frames.gen_random_orthogonal(64, 256, 5), False),
+        (frames.gen_partial_fourier(128, 64, 5, mode=frames.EXACT_N), True),
+    ], ids=["orthogonal-real", "fourier-complex"])
+    def test_bound_holds_and_is_tight_at_coarse_levels(self, frame,
+                                                       complex_valued):
+        # each of the N coefficients moves by up to norm(x)/L per real
+        # component, so a bound of sqrt(n)/L * norm(x) fails at coarse L
+        worst = 0.0
+        for levels in (2, 3, 4, 8):
+            for x in unit_vectors(64, 30, 110 + levels, complex_valued):
+                report = quantize.frame_baseline_quantize(frame, x, levels)
+                assert report.bound_satisfied
+                worst = max(worst, report.l2_error / report.theoretical_bound)
+        assert worst >= 0.5
+
 
 class TestSeparation:
     def test_spread_quantization_beats_raw_frame(self):
