@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import conversion, formats, frames, quantize, sweeps, uncertainty
-from .errors import FormatError, InvalidConfig, InvalidParams, KashinError
+from .errors import FormatError, InvalidConfig, KashinError
 
 _FAMILY_FLAGS = {
     "orthogonal": frames.RANDOM_ORTHOGONAL,
@@ -91,8 +91,6 @@ def _decode_args(p) -> None:
 def _quantize_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--levels", required=True, type=int)
-    p.add_argument("--real", action="store_true",
-                   help="quantize only real parts (default covers both components)")
     p.add_argument("--out", required=True)
 
 
@@ -120,6 +118,8 @@ def _shape(text: str) -> tuple[int, int]:
         n, N = map(int, text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NxM, got {text!r}") from None
+    if not 1 <= n <= N:
+        raise argparse.ArgumentTypeError(f"need 1 <= N <= M, got {text!r}")
     return n, N
 
 
@@ -203,17 +203,23 @@ def _truncation_from_flag(flag: str | None) -> conversion.TruncationSpec:
     )
 
 
+def _require(args, name: str, holds, rule: str) -> None:
+    """Each value of flag ``name`` (each entry of a list-valued one) that
+    is given must satisfy ``holds``; ``rule`` says how in the message."""
+    values = getattr(args, name)
+    for value in values if isinstance(values, list) else [values]:
+        if value is not None and not holds(value):
+            raise _UsageError(
+                f"kashin {args.command}: argument --{name}: must {rule}, "
+                f"got {value}"
+            )
+
+
 def _require_counts(args, **least) -> None:
     """Each given count flag, or each entry of a list-valued one, must be
     at least ``least[flag]``."""
     for name, low in least.items():
-        values = getattr(args, name)
-        for value in values if isinstance(values, list) else [values]:
-            if value is not None and value < low:
-                raise _UsageError(
-                    f"kashin {args.command}: argument --{name}: must be at "
-                    f"least {low}, got {value}"
-                )
+        _require(args, name, lambda value: value >= low, f"be at least {low}")
 
 
 def _conversion_config(frame, eta, delta, iters, accuracy, exact_last,
@@ -256,23 +262,14 @@ def _cmd_decode(args) -> int:
 
 def _cmd_quantize(args) -> int:
     rep = formats.read_representation(args.infile)
-    complex_mode = not args.real
-    if args.real and quantize.has_imaginary_mass(rep.coefficients, rep.input_norm):
-        raise InvalidParams("--real would drop the coefficients' imaginary parts")
-    spec = quantize.QuantizerSpec.from_representation(
-        rep, args.levels, complex_mode=complex_mode
-    )
+    spec = quantize.QuantizerSpec.from_representation(rep, args.levels)
     a_hat = quantize.quantize_coeffs(rep.coefficients, spec)[1]
-    # midpoint pairs can reach sqrt(2) times the per-component range, so
-    # the stored certificate grows by that factor in complex mode
-    cfac = math.sqrt(2.0) if complex_mode else 1.0
-    n_coeff = rep.coefficients.size
+    # midpoint pairs can reach sqrt(2) times the per-component range
     quantized = conversion.KashinRepresentation(
         coefficients=a_hat,
-        level_K=rep.level_K * cfac,
+        level_K=rep.level_K * (math.sqrt(2.0) if spec.complex_mode else 1.0),
         input_norm=rep.input_norm,
-        residual_bound=rep.residual_bound
-        + cfac * spec.range_half_width * math.sqrt(n_coeff) / args.levels,
+        residual_bound=rep.residual_bound + spec.error_bound(rep.coefficients),
         iterations_used=rep.iterations_used,
     )
     formats.write_representation(args.out, quantized)
@@ -291,10 +288,7 @@ def _cmd_simulate(args) -> int:
         frame, args.eta, args.delta, args.iters, None, False, None
     )
     rep = conversion.kashin_encode(frame, x, cfg)
-    spec = quantize.QuantizerSpec.from_representation(
-        rep, args.levels,
-        complex_mode=quantize.has_imaginary_mass(rep.coefficients, rep.input_norm),
-    )
+    spec = quantize.QuantizerSpec.from_representation(rep, args.levels)
     flips = args.flips
     if flips is None:
         flips = max(1, int(args.damage * frame.N)) if tag == quantize.BIT_FLIP else 0
@@ -368,6 +362,8 @@ def _cmd_bench(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, value)
     _require_counts(args, trials=1, passes=1, levels=2)
+    _require(args, "delta", lambda d: 0.0 < d < 1.0, "lie in (0, 1)")
+    _require(args, "damage", lambda d: 0.0 <= d < 1.0, "lie in [0, 1)")
     rows = []
     for flag in args.families:
         for n, N in args.shapes:

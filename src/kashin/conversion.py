@@ -375,10 +375,6 @@ def kashin_encode(
         raise InvalidParams(
             f"frame lives in C^{f.n}, vector has length {v.shape[0]}"
         )
-    # a complex frame's residual is complex from the first pass on, so the
-    # input is taken as complex up front
-    if f.kind == frames.PARTIAL_FOURIER or np.iscomplexobj(f.matrix):
-        v = v.astype(np.complex128, copy=False)
     if cfg.frame_epsilon < f.tightness_eps - 1e-9:
         raise InvalidConfig(
             f"config certifies tightness defect {cfg.frame_epsilon} but the "
@@ -389,7 +385,8 @@ def kashin_encode(
     if not math.isfinite(norm):
         raise InvalidParams("input norm exceeds the float64 range")
     if norm == 0.0:
-        return _zero_representation(f.N, level, v.dtype)
+        # zero coefficients of the dtype the frame gives this input
+        return _zero_representation(f.N, level, frames.analysis(f, v).dtype)
     if norm < np.finfo(np.float64).tiny:
         raise InvalidParams("input norm lies below the normal float64 range")
     if cfg.iterations is not None:

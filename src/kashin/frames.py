@@ -304,32 +304,16 @@ def synthesis(frame: FrameMatrix, coeffs, support=None) -> np.ndarray:
     return linalg.dft(a)[frame.omega]
 
 
-def _quadratic_norm(a: np.ndarray, ga: np.ndarray) -> float:
-    """``sqrt(Re <a, ga>)`` for ``ga = G a``, the norm of ``U a``.
-
-    Both vectors are taken as float64 (real, imaginary) pairs, whose dot
-    product is ``Re <a, ga>``, and divided by the largest component of
-    ``a`` before the products, which G's linearity allows.  So a finite
-    ``a`` of any scale neither overflows nor underflows on the way, and a
-    subnormal peak divides no complex number (see :func:`linalg.norm2`).
-    """
-    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    peak = float(np.abs(parts).max())
-    if peak == 0.0:
-        return 0.0
-    g = np.ascontiguousarray(ga, dtype=np.complex128).view(np.float64)
-    return peak * math.sqrt(max((parts / peak) @ (g / peak), 0.0))
-
-
 class GramStep:
     """The Gram operator ``G = U* U`` of one frame, applied to
     coefficients ``a`` that are zero outside ``support``.
 
     ``step(a, support)`` returns ``(G a, norm(U a))``: the analysis
     coefficients of the synthesis of ``a`` (length N) and the norm of that
-    synthesis, ``sqrt(Re <a, G a>)`` summed over the support alone.
-    ``step.synthesis_norm(a, support)`` returns ``norm(U a)`` without
-    ``G a``, for a caller that needs no coefficients after it.
+    synthesis, ``sqrt(Re <a, G a>)`` summed over the support alone by
+    :func:`linalg.sqrt_inner`.  ``step.synthesis_norm(a, support)``
+    returns ``norm(U a)`` without ``G a``, for a caller that needs no
+    coefficients after it.
     ``step.block(supports)`` returns the Gram block ``G[S, S]``: (k, k)
     for a support of k indices, (B, k, k) for a (B, k) array of them.
 
@@ -377,13 +361,13 @@ class GramStep:
             ga = np.zeros(N, dtype=np.complex128)
             for t in np.asarray(support).tolist():
                 ga += coeffs[t] * kernel[N - t:2 * N - t]
-        return ga, _quadratic_norm(coeffs[support], ga[support])
+        return ga, linalg.sqrt_inner(coeffs[support], ga[support])
 
     def synthesis_norm(self, coeffs, support) -> float:
         if not self._rotations(support):
             return linalg.norm2(synthesis(self.frame, coeffs, support=support))
         a = coeffs[support]
-        return _quadratic_norm(a, self.block(support) @ a)
+        return linalg.sqrt_inner(a, self.block(support) @ a)
 
     def block(self, supports) -> np.ndarray:
         s = np.asarray(supports, dtype=np.int64)

@@ -142,18 +142,30 @@ def sample_bernoulli(rows: int, cols: int, seed: int) -> np.ndarray:
     return 2.0 * signs - 1.0
 
 
-def norm2(x) -> float:
-    """Euclidean norm.
+def sqrt_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """``sqrt(max(Re <a, b>, 0))`` for arrays ``a`` and ``b`` of one size.
 
-    Components are divided by the largest real or imaginary magnitude
-    before squaring, so a finite vector never overflows on the way; the
-    result is ``inf`` only when the norm itself exceeds the float64 range.
-    Real input is summed as complex with zero imaginary parts, so a real
-    vector and its complex copy give the same bits.
+    Both are taken as float64 (real, imaginary) pairs, whose dot product is
+    ``Re <a, b>``, and divided by the largest real or imaginary magnitude
+    of ``a`` before the product.  So a finite ``a`` of any scale, and a
+    ``b`` linear in it, neither overflow nor underflow on the way, and a
+    subnormal peak divides no complex number.  Real input is taken as
+    complex with zero imaginary parts, so a real array and its complex copy
+    give the same bits.
     """
-    parts = np.ascontiguousarray(as_vector(x), dtype=np.complex128).view(np.float64)
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     peak = float(np.abs(parts).max())
     if peak == 0.0:
         return 0.0
     scaled = parts / peak
-    return peak * math.sqrt(scaled @ scaled)
+    other = scaled if b is a else (
+        np.ascontiguousarray(b, dtype=np.complex128).view(np.float64) / peak)
+    return peak * math.sqrt(max(scaled @ other, 0.0))
+
+
+def norm2(x) -> float:
+    """Euclidean norm, :func:`sqrt_inner` of the checked vector with
+    itself: a finite vector never overflows on the way, and the result is
+    ``inf`` only when the norm itself exceeds the float64 range."""
+    v = as_vector(x)
+    return sqrt_inner(v, v)

@@ -9,6 +9,13 @@ coefficients costs only O(K*sqrt(delta)).  This module implements the
 quantizer, the damage models (erasure, adversarial replacement, bit
 flips in the code stream), and end-to-end distortion experiments with
 their certified bounds.
+
+One policy covers every caller.  :meth:`QuantizerSpec.from_representation`
+picks complex mode exactly when the coefficients carry imaginary mass
+(:func:`has_imaginary_mass`), and :meth:`QuantizerSpec.error_bound` is the
+one formula for what quantization costs.  The raw-frame baseline is a
+representation too: :func:`frame_baseline_quantize` runs it as a
+quantize-only trial.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ class QuantizerSpec:
     (codes per coefficient become a pair) and reconstructs complex128;
     otherwise only the real part is kept and reconstructed as float64.
     Cell midpoints are the reconstruction values, so each
-    in-range component moves by at most ``step/2 = W/L``.
+    in-range component moves by at most ``step/2 = W/L``
+    (see :meth:`error_bound`).
     """
 
     levels_L: int
@@ -62,21 +70,36 @@ class QuantizerSpec:
     def step(self) -> float:
         return 2.0 * self.range_half_width / self.levels_L
 
+    def error_bound(self, a) -> float:
+        """Most by which quantizing the in-range coefficients ``a`` moves
+        them in norm: ``c*W*sqrt(N)/L`` with c = sqrt(2) in complex mode
+        else 1, plus ``norm(Im a)`` for the imaginary parts that real mode
+        drops."""
+        cfac = math.sqrt(2.0) if self.complex_mode else 1.0
+        bound = cfac * self.range_half_width * math.sqrt(a.size) / self.levels_L
+        if not self.complex_mode and np.iscomplexobj(a):
+            bound += linalg.norm2(a.imag)
+        return bound
+
     @classmethod
     def from_representation(
         cls,
         rep: KashinRepresentation,
         levels_L: int,
-        complex_mode: bool = False,
+        complex_mode: bool | None = None,
         level: float | None = None,
     ) -> "QuantizerSpec":
         """Quantizer sized to a representation's certified dynamic range.
 
+        ``complex_mode`` left unset is complex mode exactly when the
+        coefficients carry imaginary mass (:func:`has_imaginary_mass`).
         ``level`` overrides the certified level — pass
         :func:`~kashin.conversion.effective_level` (plus a little
         headroom) for the tighter empirical range.  A zero input norm
         falls back to a unit range so the step stays positive.
         """
+        if complex_mode is None:
+            complex_mode = has_imaginary_mass(rep.coefficients, rep.input_norm)
         k = rep.level_K if level is None else level
         w = k / math.sqrt(rep.coefficients.size) * rep.input_norm
         return cls(
@@ -229,14 +252,16 @@ def _apply_damage(
     model: ErrorModel,
     clamp_W: float,
     quantizer: QuantizerSpec | None,
+    codes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damaged copy of ``a`` plus the touched index set."""
+    """Damaged copy of ``a`` plus the touched index set.  Bit flips act
+    on ``codes``, the quantized ``a``, which are computed when not given."""
     if model.tag == QUANTIZE_ONLY:
         return a.copy(), np.empty(0, dtype=np.int64)
     if model.tag == BIT_FLIP:
         if quantizer is None:
             raise InvalidParams("the bit-flip model needs a quantizer spec")
-        codes = quantize_coeffs(a, quantizer)[0]
+        codes = quantize_coeffs(a, quantizer)[0] if codes is None else codes
         return _flip_codes(codes, model, clamp_W, quantizer)
     g = linalg.rng_from_seed(model.seed)
     idx = _damage_indices(g, a.size, model.damage_fraction)
@@ -322,11 +347,12 @@ def distortion_trials(
     """Push a representation through quantization plus channel damage,
     once per model, and compare each outcome against the certified bound.
 
-    Bounds (W = quantizer half-width, c = sqrt(2) in complex mode else
-    1, d = touched count, s = 1 + ``f.tightness_eps``): quantize-only
-    ``s*c*W*sqrt(N)/L``; erasure and adversarial
+    Bounds (W = quantizer half-width, Q = ``spec.error_bound(a)``, which
+    is ``c*W*sqrt(N)/L`` with c = sqrt(2) in complex mode else 1 for
+    float64 coefficients, d = touched count, s = 1 + ``f.tightness_eps``):
+    quantize-only ``s*Q``; erasure and adversarial
     ``s*2*W*sqrt(damage_fraction*N)`` applied to the raw coefficients;
-    bit-flip the sum ``s*(c*W*sqrt(N)/L + 2*W*sqrt(d))``.  The factor s
+    bit-flip the sum ``s*(Q + 2*W*sqrt(d))``.  The factor s
     bounds the synthesis norm ||U||, which exceeds 1 on frames that are
     not tight.  The representation's residual bound is always added,
     since its coefficients only reproduce the input up to that much.  Raises
@@ -343,8 +369,9 @@ def distortion_trials(
     return _trials(f, x, rep, spec, models)
 
 
-# the one implementation behind both public entry points, so that a traced
-# distortion_experiment keeps the trial's own work in its span
+# the one implementation behind distortion_experiment, distortion_trials and
+# frame_baseline_quantize, so that a traced distortion_experiment keeps the
+# trial's own work in its span
 def _trials(f, x, rep, spec, models) -> list[DistortionReport]:
     v = linalg.as_vector(x)
     a = linalg.as_vector(rep.coefficients)
@@ -357,12 +384,11 @@ def _trials(f, x, rep, spec, models) -> list[DistortionReport]:
             "coefficients carry imaginary mass; quantize them in complex mode"
         )
     w = spec.range_half_width
-    cfac = math.sqrt(2.0) if spec.complex_mode else 1.0
-    qbound = cfac * w * math.sqrt(f.N) / spec.levels_L
     scale = 1.0 + f.tightness_eps
     codes = quantized = None
     if any(m.tag in (QUANTIZE_ONLY, BIT_FLIP) for m in models):
         codes, quantized = quantize_coeffs(a, spec)
+        qbound = spec.error_bound(a)
 
     def trial(damaged, count: int, coeff_bound: float) -> DistortionReport:
         l2 = linalg.norm2(v - frames.synthesis(f, damaged))
@@ -376,11 +402,10 @@ def _trials(f, x, rep, spec, models) -> list[DistortionReport]:
                 quantize_only = trial(quantized, 0, qbound)
             reports.append(quantize_only)
             continue
+        damaged, touched = _apply_damage(a, model, w, spec, codes)
         if model.tag == BIT_FLIP:
-            damaged, touched = _flip_codes(codes, model, w, spec)
             coeff_bound = qbound + 2.0 * w * math.sqrt(touched.size)
         else:
-            damaged, touched = _apply_damage(a, model, w, None)
             coeff_bound = 2.0 * w * math.sqrt(model.damage_fraction * f.N)
         reports.append(trial(damaged, int(touched.size), coeff_bound))
     return reports
@@ -390,42 +415,31 @@ def frame_baseline_quantize(f: frames.FrameMatrix, x, levels_L: int) -> Distorti
     """Quantize the raw frame coefficients of ``x`` — the comparison
     baseline a spread representation beats.
 
-    Raw coefficients can individually reach norm(x), so the quantizer
-    range is [-norm(x), norm(x)].  Requires a tight frame (defect
-    eps <= 1e-6).  Complex mode switches on automatically when the
-    coefficients carry imaginary mass.  Each real component of the N
-    coefficients then moves by at most (1/L + eps)*norm(x), the eps term
-    covering a coefficient beyond the range, so with c = sqrt(2) in
-    complex mode else 1 the reported budget bound is
-    ``(1+eps)*c*sqrt(N)*(1/L + eps)*norm(x) + (2*eps + eps**2)*norm(x)``,
-    the last term bounding how far U U* x strays from x.  In real mode the
-    dropped imaginary parts add ``(1+eps)*norm(Im b)``.
+    Requires a tight frame (defect eps <= 1e-6).  The raw representation
+    has coefficients ``b = U* x``, each of magnitude at most
+    ``(1+eps)*norm(x)``, so its level is ``(1+eps)*sqrt(N)`` and the
+    quantizer range [-(1+eps)*norm(x), (1+eps)*norm(x)] covers every
+    coefficient.  Its residual bound ``(2*eps + eps**2)*norm(x)`` is the
+    most by which U U* x can stray from x.  The report is that
+    representation's quantize-only trial (:func:`distortion_trials`), with
+    the mode picked from the coefficients, so its bound is
+    ``(1+eps)**2*c*sqrt(N)*norm(x)/L + (2*eps + eps**2)*norm(x)``.
     """
     if f.tightness_eps > 1e-6:
         raise InvalidParams(
             f"baseline needs a tight frame; measured defect {f.tightness_eps}"
         )
-    v = linalg.as_vector(x)
-    if v.shape[0] != f.n:
-        raise DimensionMismatch(f"expected a length-{f.n} vector")
-    norm = linalg.norm2(v)
+    b = frames.analysis(f, x)
+    norm = linalg.norm2(x)
     if norm == 0.0:
         return _report(0.0, 0.0, 0)
-    b = frames.analysis(f, v)
-    spec = QuantizerSpec(
-        levels_L=levels_L,
-        range_half_width=norm,
-        complex_mode=has_imaginary_mass(b, norm),
-    )
-    b_hat = quantize_coeffs(b, spec)[1]
-    l2 = linalg.norm2(v - frames.synthesis(f, b_hat))
     eps = f.tightness_eps
-    cfac = math.sqrt(2.0) if spec.complex_mode else 1.0
-    coeff_error = cfac * math.sqrt(f.N) * (1.0 / levels_L + eps) * norm
-    if not spec.complex_mode and np.iscomplexobj(b):
-        coeff_error += linalg.norm2(b.imag)
-    bound = (1.0 + eps) * coeff_error + (2.0 * eps + eps * eps) * norm
-    return _report(l2, bound, 0)
+    raw = KashinRepresentation(
+        coefficients=b, level_K=(1.0 + eps) * math.sqrt(f.N), input_norm=norm,
+        residual_bound=(2.0 * eps + eps * eps) * norm, iterations_used=0,
+    )
+    spec = QuantizerSpec.from_representation(raw, levels_L)
+    return _trials(f, x, raw, spec, [ErrorModel(tag=QUANTIZE_ONLY)])[0]
 
 
 def separation_experiment(
@@ -438,12 +452,7 @@ def separation_experiment(
     (range sized by the measured level, with a hair of headroom) versus
     the raw-frame baseline at the same L.  Returns (spread, baseline)."""
     level = effective_level(rep) * (1.0 + 1e-9)
-    spec = QuantizerSpec.from_representation(
-        rep,
-        levels_L,
-        complex_mode=has_imaginary_mass(rep.coefficients, rep.input_norm),
-        level=level,
-    )
+    spec = QuantizerSpec.from_representation(rep, levels_L, level=level)
     kashin = distortion_experiment(
         f, x, rep, spec, ErrorModel(tag=QUANTIZE_ONLY)
     )

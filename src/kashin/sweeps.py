@@ -126,10 +126,11 @@ def channel_sweep(family: frames.FrameFamily, delta: float, passes: int,
     damage fraction, levels L); returns one row list per cell.
 
     Each input is encoded once and reused by every cell.  The quantizer
-    covers the certified coefficient range, in complex mode exactly when
-    the coefficients carry imaginary mass.  With ``baseline``,
-    quantize-only cells also quantize the raw frame coefficients of each
-    input (model tag ``baseline``, K = 0).
+    covers the certified coefficient range, in the mode that
+    :meth:`~kashin.quantize.QuantizerSpec.from_representation` picks.
+    With ``baseline``, quantize-only cells also run
+    :func:`~kashin.quantize.frame_baseline_quantize` on each input (model
+    tag ``baseline``, K = 0).
     """
     frame = frames.generate(family)
     eta, cfg = calibrate(frame, delta, passes, family.seed)
@@ -139,10 +140,7 @@ def channel_sweep(family: frames.FrameFamily, delta: float, passes: int,
     for tag, fraction, levels in cells:
         rows = []
         for t, (x, rep) in enumerate(zip(inputs, reps)):
-            complex_mode = quantize.has_imaginary_mass(rep.coefficients, rep.input_norm)
-            spec = quantize.QuantizerSpec.from_representation(
-                rep, levels, complex_mode=complex_mode
-            )
+            spec = quantize.QuantizerSpec.from_representation(rep, levels)
             model = quantize.ErrorModel(tag=tag, damage_fraction=fraction,
                                         seed=family.seed + t)
             rows += trial_rows(family.tag, frame, x, rep, spec, [model], cfg.up)

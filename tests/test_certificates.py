@@ -1,0 +1,133 @@
+"""Every distortion certificate holds: the measured error never exceeds the
+reported bound, on tight, nearly tight and loose frames, at coarse and odd
+quantizer levels and at input norms far from 1.
+
+The bounds must also mean something: at unit norm and L <= 4 the worst
+quantize-only and baseline errors reach at least half their bounds.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kashin import conversion, frames, linalg, quantize, sweeps
+
+LEVELS = (2, 3, 4, 8, 64)
+SCALES = (1e-100, 1.0, 1e100)
+PASSES = 12
+
+
+@functools.cache
+def _case(name: str):
+    """(frame, encoder config) of one named frame, calibrated as
+    ``kashin bench`` calibrates it."""
+    if name == "orthogonal":
+        frame = frames.gen_random_orthogonal(64, 128, 3)
+    elif name == "fourier":
+        frame = frames.gen_partial_fourier(128, 64, 3, mode=frames.EXACT_N)
+    elif name == "near-tight":
+        # every singular value 1 + 1e-8, so eps is 1e-8, measured exactly
+        u = frames.gen_random_orthogonal(64, 128, 3).matrix * (1.0 + 1e-8)
+        frame = frames.FrameMatrix(n=64, N=128, kind=frames.DENSE, matrix=u)
+    else:
+        frame = frames.gen_subgaussian(16, 256, frames.GAUSSIAN, 0)
+    return frame, sweeps.calibrate(frame, 0.05, PASSES, 0)[1]
+
+
+TIGHT = ("orthogonal", "fourier", "near-tight")
+ALL = TIGHT + ("gaussian",)
+
+
+def _input(frame, seed: int, complex_valued: bool, scale: float) -> np.ndarray:
+    g = linalg.rng_from_seed(seed)
+    x = g.standard_normal(frame.n)
+    if complex_valued:
+        x = x + 1j * g.standard_normal(frame.n)
+    return x * (scale / np.linalg.norm(x))
+
+
+def _models(seed: int, damage: float, flips: int) -> list[quantize.ErrorModel]:
+    return [
+        quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY),
+        quantize.ErrorModel(tag=quantize.ERASURE, damage_fraction=damage,
+                            seed=seed),
+        quantize.ErrorModel(tag=quantize.ADVERSARIAL, damage_fraction=damage,
+                            seed=seed),
+        quantize.ErrorModel(tag=quantize.ADVERSARIAL, damage_fraction=damage,
+                            seed=seed, worst_direction=True),
+        quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=flips, seed=seed),
+    ]
+
+
+def test_cases_span_tight_near_tight_and_loose_frames():
+    eps = {name: _case(name)[0].tightness_eps for name in ALL}
+    assert eps["orthogonal"] <= 1e-14 and eps["fourier"] == 0.0
+    assert eps["near-tight"] == pytest.approx(1e-8, rel=1e-6)
+    assert eps["gaussian"] >= 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ALL),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    complex_valued=st.booleans(),
+    levels=st.sampled_from(LEVELS),
+    scale=st.sampled_from(SCALES),
+    damage=st.sampled_from([1 / 128, 4 / 128, 0.2]),
+    flips=st.integers(min_value=1, max_value=8),
+)
+def test_every_trial_stays_within_its_bound(name, seed, complex_valued, levels,
+                                            scale, damage, flips):
+    frame, cfg = _case(name)
+    x = _input(frame, seed, complex_valued, scale)
+    rep = conversion.kashin_encode(frame, x, cfg)
+    spec = quantize.QuantizerSpec.from_representation(rep, levels)
+    models = _models(seed, damage, flips)
+    for model, report in zip(
+            models, quantize.distortion_trials(frame, x, rep, spec, models)):
+        assert report.l2_error <= report.theoretical_bound, model
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(TIGHT),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    complex_valued=st.booleans(),
+    levels=st.sampled_from(LEVELS),
+    scale=st.sampled_from(SCALES),
+)
+def test_baseline_stays_within_its_bound(name, seed, complex_valued, levels,
+                                         scale):
+    frame = _case(name)[0]
+    x = _input(frame, seed, complex_valued, scale)
+    report = quantize.frame_baseline_quantize(frame, x, levels)
+    assert report.l2_error <= report.theoretical_bound
+
+
+@pytest.mark.parametrize("name, complex_valued", [
+    ("orthogonal", False), ("orthogonal", True), ("fourier", False),
+    ("near-tight", False), ("gaussian", False),
+])
+def test_coarse_bounds_are_not_vacuous(name, complex_valued):
+    frame, cfg = _case(name)
+    worst = {"trial": 0.0, "baseline": 0.0}
+    for seed in range(6):
+        x = _input(frame, seed, complex_valued, 1.0)
+        rep = conversion.kashin_encode(frame, x, cfg)
+        for levels in (2, 3, 4):
+            spec = quantize.QuantizerSpec.from_representation(rep, levels)
+            reports = {"trial": quantize.distortion_experiment(
+                frame, x, rep, spec, quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY))}
+            if name in TIGHT:
+                reports["baseline"] = quantize.frame_baseline_quantize(
+                    frame, x, levels)
+            for kind, report in reports.items():
+                assert report.l2_error <= report.theoretical_bound
+                worst[kind] = max(worst[kind],
+                                  report.l2_error / report.theoretical_bound)
+    assert worst["trial"] >= 0.5
+    if name in TIGHT:
+        assert worst["baseline"] >= 0.5

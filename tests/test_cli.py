@@ -1,6 +1,10 @@
 import dataclasses
+import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -119,15 +123,6 @@ class TestExitCodes:
         # support fraction too small for even one coordinate
         assert cli.run([
             "up-check", str(frame_file), "--delta", "0.001", "--exact",
-        ]) == 2
-        # real-only quantization of coefficients with imaginary parts
-        assert cli.run([
-            "encode", str(frame_file), "--in", str(vec), "--eta", "0.97",
-            "--delta", "0.125", "--iters", "2", "--out", out,
-        ]) == 0
-        assert cli.run([
-            "quantize", "--in", out, "--levels", "8", "--real",
-            "--out", str(tmp_path / "q.kcof"),
         ]) == 2
 
     def test_malformed_approx_trunc_flag(self, tmp_path, frame_file):
@@ -341,6 +336,57 @@ class TestCodecCommands:
                                             rel=1e-12)
         assert got.residual_bound > rep.residual_bound
         assert _value(printed, "step") == float(format(spec.step, ".17g"))
+
+    @pytest.mark.parametrize("family", ["orthogonal", "fourier"])
+    def test_quantize_picks_the_mode_from_the_coefficients(self, tmp_path,
+                                                          family):
+        frame_path, vec = tmp_path / "f.kfrm", tmp_path / "x.vec"
+        coef, quantized = tmp_path / "c.kcof", tmp_path / "q.kcof"
+        back = tmp_path / "xhat.vec"
+        assert cli.run([
+            "gen-frame", "--family", family, "--n", "64", "--N", "128",
+            "--seed", "7", "--out", str(frame_path),
+        ]) == 0
+        x = linalg.rng_from_seed(2).standard_normal(64)
+        formats.write_vector(vec, x / np.linalg.norm(x))
+        x = formats.read_vector(vec)
+        for argv in (
+            ["encode", str(frame_path), "--in", str(vec), "--eta", "0.95",
+             "--delta", "0.05", "--iters", "20", "--out", str(coef)],
+            ["quantize", "--in", str(coef), "--levels", "64",
+             "--out", str(quantized)],
+            ["decode", str(frame_path), "--in", str(quantized),
+             "--out", str(back)],
+        ):
+            assert cli.run(argv) == 0
+
+        rep = formats.read_representation(coef)
+        spec = quantize.QuantizerSpec.from_representation(rep, 64)
+        assert spec.complex_mode == (family == "fourier")
+        got = formats.read_representation(quantized)
+        assert np.array_equal(
+            got.coefficients, quantize.quantize_coeffs(rep.coefficients, spec)[1])
+        assert got.residual_bound == (
+            rep.residual_bound + spec.error_bound(rep.coefficients))
+        x_hat = formats.read_vector(back)
+        if family == "orthogonal":
+            # a real frame's coefficients are quantized in real mode, so the
+            # decoded vector stays real
+            assert got.level_K == rep.level_K
+            assert not np.any(x_hat.imag)
+        else:
+            assert got.level_K == rep.level_K * math.sqrt(2.0)
+            assert np.any(got.coefficients.imag)
+        assert np.linalg.norm(x - x_hat) <= got.residual_bound
+
+    def test_quantize_has_no_real_flag(self, capsys):
+        assert cli.run([
+            "quantize", "--in", "c.kcof", "--levels", "8", "--real",
+            "--out", "q.kcof",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: kashin: unrecognized arguments: --real\n"
+        )
 
 
 class TestSimulate:
@@ -571,6 +617,18 @@ class TestBench:
          "argument --damage: does not apply to --suite decay"),
         (["decay", "--baseline"],
          "argument --baseline: does not apply to --suite decay"),
+        (["quantization", "--delta", "0"],
+         "argument --delta: must lie in (0, 1), got 0.0"),
+        (["quantization", "--delta", "1.5"],
+         "argument --delta: must lie in (0, 1), got 1.5"),
+        (["corruption", "--damage", "1.5"],
+         "argument --damage: must lie in [0, 1), got 1.5"),
+        (["quantization", "--models", "erasure", "--damage", "-0.1"],
+         "argument --damage: must lie in [0, 1), got -0.1"),
+        (["decay", "--shapes", "64x32"],
+         "argument --shapes: need 1 <= N <= M, got '64x32'"),
+        (["decay", "--shapes", "0x32"],
+         "argument --shapes: need 1 <= N <= M, got '0x32'"),
     ])
     def test_bad_sweep_flag_is_a_usage_error(self, tmp_path, capsys, flags,
                                              message):
@@ -578,7 +636,10 @@ class TestBench:
         assert cli.run([
             "bench", "--suite", *flags, "--csv", str(csv_path),
         ]) == 1
-        assert capsys.readouterr().err == f"error: kashin bench: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: kashin bench: {message}\n"
+        # rejected before any frame is generated or calibrated
+        assert captured.out == ""
         assert not csv_path.exists()
 
     def test_bound_violation_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -616,3 +677,13 @@ class TestReadme:
 
     def test_names_no_script_path(self):
         assert "scripts/" not in README.read_text()
+
+    def test_every_python_example_runs(self, tmp_path):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) >= 2
+        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", "\n".join(blocks)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

@@ -53,6 +53,37 @@ class TestQuantizerSpec:
         tighter = quantize.QuantizerSpec.from_representation(rep, 8, level=1.0)
         assert tighter.range_half_width == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("coefficients, complex_mode", [
+        (np.full(16, 0.1), False),
+        (np.full(16, 0.1 + 0j), False),
+        (np.full(16, 0.1 + 1e-13j), False),
+        (np.full(16, 0.1 + 1e-11j), True),
+    ], ids=["float64", "zero-imaginary", "rounding-noise", "imaginary-mass"])
+    def test_unset_complex_mode_follows_imaginary_mass(self, coefficients,
+                                                       complex_mode):
+        rep = conversion.KashinRepresentation(
+            coefficients=coefficients, level_K=4.0, input_norm=1.0,
+            residual_bound=0.0, iterations_used=1,
+        )
+        assert quantize.has_imaginary_mass(rep.coefficients, 1.0) == complex_mode
+        spec = quantize.QuantizerSpec.from_representation(rep, 8)
+        assert spec.complex_mode == complex_mode
+        for explicit in (False, True):
+            assert quantize.QuantizerSpec.from_representation(
+                rep, 8, complex_mode=explicit).complex_mode == explicit
+
+    def test_error_bound_by_hand(self):
+        # W = 1, L = 4, N = 16: sqrt(16) * W/L = 1 per unit of c
+        real = quantize.QuantizerSpec(levels_L=4, range_half_width=1.0)
+        both = quantize.QuantizerSpec(levels_L=4, range_half_width=1.0,
+                                      complex_mode=True)
+        assert real.error_bound(np.zeros(16)) == 1.0
+        assert both.error_bound(np.zeros(16)) == math.sqrt(2.0)
+        # real mode drops imaginary parts, norm 0.3 * 4 here
+        a = np.full(16, 0.1 + 0.3j)
+        assert real.error_bound(a) == pytest.approx(1.0 + 1.2, rel=1e-15)
+        assert both.error_bound(a) == math.sqrt(2.0)
+
     def test_zero_norm_falls_back_to_unit_range(self):
         rep = conversion.KashinRepresentation(
             coefficients=np.zeros(4, dtype=np.complex128),
@@ -522,7 +553,9 @@ class TestDistortionExperiment:
         x = np.random.default_rng(1).standard_normal(64)
         rep = _rep_for(f, x, 0.9, 0.05, frame_epsilon=1e-12)
         model = quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY)
-        real = quantize.QuantizerSpec.from_representation(rep, 65536)
+        real = quantize.QuantizerSpec.from_representation(
+            rep, 65536, complex_mode=False
+        )
         with pytest.raises(InvalidParams):
             quantize.distortion_experiment(f, x, rep, real, model)
         both = quantize.QuantizerSpec.from_representation(
@@ -567,6 +600,34 @@ class TestBaseline:
         for x in unit_vectors(64, 50, 107, complex_valued=True):
             report = quantize.frame_baseline_quantize(frame_64x128, x, 64)
             assert report.bound_satisfied
+
+    @pytest.mark.parametrize("frame, complex_valued", [
+        (frames.gen_random_orthogonal(64, 128, 5), False),
+        (frames.gen_random_orthogonal(64, 128, 5), True),
+        (frames.gen_partial_fourier(128, 64, 5, mode=frames.EXACT_N), False),
+        (frames.FrameMatrix(
+            n=64, N=128, kind=frames.DENSE,
+            matrix=frames.gen_random_orthogonal(64, 128, 5).matrix * (1 + 1e-8)),
+         False),
+    ], ids=["orthogonal-real", "orthogonal-complex", "fourier", "near-tight"])
+    def test_is_the_quantize_only_trial_of_the_raw_representation(
+            self, frame, complex_valued):
+        eps = frame.tightness_eps
+        for levels in (2, 3, 16):
+            for x in unit_vectors(64, 4, 120 + levels, complex_valued):
+                x = 3.0 * x
+                norm = linalg.norm2(x)
+                raw = conversion.KashinRepresentation(
+                    coefficients=frames.analysis(frame, x),
+                    level_K=(1.0 + eps) * math.sqrt(frame.N), input_norm=norm,
+                    residual_bound=(2.0 * eps + eps * eps) * norm,
+                    iterations_used=0,
+                )
+                spec = quantize.QuantizerSpec.from_representation(raw, levels)
+                trial = quantize.distortion_trials(
+                    frame, x, raw, spec,
+                    [quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY)])[0]
+                assert quantize.frame_baseline_quantize(frame, x, levels) == trial
 
     def test_wrong_length_rejected(self, frame_8x16):
         with pytest.raises(DimensionMismatch):
