@@ -227,15 +227,21 @@ def _truncate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clipped coefficients and the indices of those the clip changed,
     the only ones written: the rest keep their exact bits.  A scalar map
-    sees ``b/M`` in one call, and where ``t(b/M)`` differs from ``b/M``
-    the coefficient becomes ``M t``.  Raises :class:`InvalidParams`
-    unless M is positive, as it stops being when a long run of passes on
-    an input of tiny norm underflows it.
+    sees ``b/M`` in one call, its real and imaginary parts each divided by
+    M, and where ``t(b/M)`` differs from ``b/M`` the coefficient becomes
+    ``M t``.  Raises :class:`InvalidParams` unless M is positive, as it
+    stops being when a long run of passes on an input of tiny norm
+    underflows it.
     """
     if not M > 0.0:
         raise InvalidParams(f"clip level must be positive, got {M}")
     if spec.mode == APPROXIMATE and spec.scalar_map is not None:
-        u = b / M
+        if np.iscomplexobj(b):
+            # real and imaginary parts each divided by M, correctly
+            # rounded: numpy's complex / real goes through a reciprocal
+            u = (b.view(np.float64) / M).view(b.dtype)
+        else:
+            u = b / M
         t = _apply_map(spec.scalar_map, u)
         if not np.iscomplexobj(b):
             t = linalg.real_if_exact(t)
@@ -354,14 +360,19 @@ def kashin_encode(
     are the analysis coefficients of the modeled residual ``U e_k``.  Its
     norm is ``sqrt(Re <e_k, G e_k>)``, summed over the clipped support
     ``S_k`` alone and scaled so that no finite input overflows or
-    underflows.  :class:`frames.GramStep` computes both: on a dense frame
-    from a synthesis of the clipped columns and a full analysis, on a
-    partial Fourier frame from ``|S_k|`` rotated copies of the circulant's
-    first column when ``|S_k|`` is small, so a pass clipping a few
-    coefficients runs no FFT.  A pass that clips nothing ends the loop
-    with a zero residual, and the last pass by count, which no pass
-    follows, takes ``norm(U e_k)`` alone, with no analysis on a dense
-    frame and no FFT on a small Fourier support.
+    underflows.  :class:`frames.GramStep` computes both.  When ``|S_k|``
+    is small, ``G e_k`` is the sum over ``S_k`` of columns of G: on a
+    partial Fourier frame rotated copies of the circulant's first column,
+    so a pass clipping a few coefficients runs no FFT; on a dense frame
+    columns ``U* u_t`` kept from earlier passes of the encode, plus at
+    most one new one, made by a full analysis.  A dense pass that clips
+    two or more new indices, or a wide support, takes a synthesis of the
+    clipped columns and a full analysis, so a column input whose passes
+    re-clip one index reads the matrix twice: for ``b_1`` and for its
+    Gram column.  A pass that clips nothing ends the loop with a zero
+    residual, and the last pass by count, which no pass follows, takes
+    ``norm(U e_k)`` alone, with no analysis on a dense frame and no FFT on
+    a small Fourier support.
     An exact completion adds the carried ``b``, which leaves the modeled
     residual ``U e - U U* U e = 0``.  The residual bound then adds
     ``(2 eps + eps^2)`` times the summed norms of the residuals entering

@@ -7,7 +7,9 @@ followed by synthesis reproduces the input exactly.  Partial Fourier frames
 never materialize their matrix; both operators are routed through the
 unitary DFT and a row selection, and their Gram operator U* U is
 circulant, which :class:`GramStep` uses on small supports and for the
-Gram blocks that calibration scores.
+Gram blocks that calibration scores.  On a dense frame :class:`GramStep`
+keeps each Gram column U* u_t it computes for as long as it lives, one
+encode, so a clipping pass whose support it has seen reads no matrix.
 """
 
 from __future__ import annotations
@@ -290,8 +292,8 @@ def synthesis(frame: FrameMatrix, coeffs, support=None) -> np.ndarray:
     ``support``, when given, lists indices outside which ``coeffs`` are
     zero.  A dense frame then multiplies only those columns if there are
     at most N/8 of them; a partial Fourier frame keeps the FFT here, and
-    :class:`GramStep` is what skips it for a small support.  The caller
-    vouches for the zeros: they are not checked.
+    :class:`GramStep` is what skips the operator pair for a small
+    support.  The caller vouches for the zeros: they are not checked.
     """
     a = linalg.as_vector(coeffs)
     if a.shape[0] != frame.N:
@@ -317,29 +319,47 @@ class GramStep:
     ``step.block(supports)`` returns the Gram block ``G[S, S]``: (k, k)
     for a support of k indices, (B, k, k) for a (B, k) array of them.
 
-    A dense frame runs :func:`synthesis` on the support, then a full
-    :func:`analysis` for ``G a`` (the norm alone takes only the
-    synthesis), and forms a block from the gathered columns, in real
-    arithmetic for a real frame.  On a partial Fourier frame G is
-    circulant: column t is ``c = ifft(1_Omega)`` rotated by t, so a block
-    is a gather from c.  A support of at most ``_GRAM_ROTATIONS`` indices
-    gives ``G a`` as a sum of that many rotated copies of c, at O(N) each,
-    and ``norm(U a)`` from the support's block, with no FFT; a wider
-    support takes the FFT pair (the norm alone, one synthesis).  c is
-    built at the first step or block that needs it and lives as long as
-    the object, so make one per encode or calibration and let it go with
-    it: a kernel cached on the frame would be a long-lived mid-run
-    allocation (see :func:`columns`).
+    A support of at most ``_GRAM_ROTATIONS`` indices gives ``G a`` as the
+    sum of ``a_t`` times column t of G, at O(N) per index.  On a partial
+    Fourier frame G is circulant, so column t is ``c = ifft(1_Omega)``
+    rotated by t, and a block is a gather from c.  On a dense frame column
+    t is ``U* u_t``, made by one full :func:`analysis` of frame vector t
+    on first use and kept, so the sum applies there only when at most one
+    index of the support is new: the step then reads the matrix at most
+    once, as the operator pair does, and not at all when every column is
+    kept.  The same cut-off bounds the dense sum, O(N |S|) against the
+    O(n N) analysis it replaces.  Any other support takes :func:`synthesis`
+    on the support and a full :func:`analysis`.  ``norm(U a)`` alone comes
+    from the support's block on a small Fourier support, with no FFT, and
+    from one synthesis otherwise; a dense block is formed from the
+    gathered columns, in real arithmetic for a real frame.
+
+    The kernel ``[c, c]`` and the dense columns are built at the first
+    step or block that needs them and live as long as the object, so make
+    one per encode or calibration and let it go with it: arrays cached on
+    the frame would be long-lived mid-run allocations (see
+    :func:`columns`).  An encode keeps at most one dense column per pass.
     """
 
     def __init__(self, frame: FrameMatrix):
         self.frame = frame
         self._kernel = None
+        # dense columns G[:, t], by t
+        self._columns: dict[int, np.ndarray] = {}
 
     def _rotations(self, support) -> bool:
         return (
             self.frame.kind == PARTIAL_FOURIER
             and len(support) <= _GRAM_ROTATIONS
+        )
+
+    def _summable(self, support) -> bool:
+        """Whether ``G a`` on ``support`` is the sum of Gram columns."""
+        if len(support) > _GRAM_ROTATIONS:
+            return False
+        return (
+            self.frame.kind == PARTIAL_FOURIER
+            or sum(t not in self._columns for t in support) <= 1
         )
 
     def _circulant(self) -> np.ndarray:
@@ -353,14 +373,24 @@ class GramStep:
             self._kernel = np.concatenate([c, c])
         return self._kernel
 
+    def _column(self, t: int) -> np.ndarray:
+        """Column t of G, a view the caller must not write."""
+        if self.frame.kind == PARTIAL_FOURIER:
+            N = self.frame.N
+            return self._circulant()[N - t:2 * N - t]
+        col = self._columns.get(t)
+        if col is None:
+            col = self._columns[t] = analysis(self.frame, self.frame.matrix[:, t])
+        return col
+
     def __call__(self, coeffs, support) -> tuple[np.ndarray, float]:
-        if not self._rotations(support):
+        if not self._summable(support):
             ga = analysis(self.frame, synthesis(self.frame, coeffs, support=support))
         else:
-            kernel, N = self._circulant(), self.frame.N
-            ga = np.zeros(N, dtype=np.complex128)
-            for t in np.asarray(support).tolist():
-                ga += coeffs[t] * kernel[N - t:2 * N - t]
+            first, *rest = np.asarray(support).tolist()
+            ga = coeffs[first] * self._column(first)
+            for t in rest:
+                ga += coeffs[t] * self._column(t)
         return ga, linalg.sqrt_inner(coeffs[support], ga[support])
 
     def synthesis_norm(self, coeffs, support) -> float:

@@ -1,11 +1,13 @@
-"""Every distortion certificate holds: the measured error never exceeds the
-reported bound, on tight, nearly tight and loose frames, at coarse and odd
-quantizer levels and at input norms far from 1.
+"""Every certificate holds: the measured error never exceeds the reported
+bound, on tight, nearly tight and loose frames, at coarse and odd quantizer
+levels and at input norms far from 1.  The encoder's own certificates,
+``level_K`` and ``residual_bound``, hold on inputs that clip.
 
 The bounds must also mean something: at unit norm and L <= 4 the worst
 quantize-only and baseline errors reach at least half their bounds.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -49,6 +51,21 @@ def _input(frame, seed: int, complex_valued: bool, scale: float) -> np.ndarray:
     return x * (scale / np.linalg.norm(x))
 
 
+def _clipping_input(frame, seed: int, k: int, scale: float) -> np.ndarray:
+    """A normalized frame column (k = 1) or a weighted sum of k columns,
+    scaled to norm ``scale``: inputs that clip.  The columns come from the
+    longest eighth, ties broken at random, since on a loose frame only
+    the longer columns reach the clip level."""
+    g = linalg.rng_from_seed(seed)
+    order = g.permutation(frame.N)
+    lengths = np.linalg.norm(frames.columns(frame, order), axis=0)
+    longest = order[np.argsort(-lengths, kind="stable")[:frame.N // 8]]
+    cols = frames.columns(frame, g.choice(longest, k, replace=False))
+    cols = cols / np.linalg.norm(cols, axis=0)
+    x = cols @ (g.standard_normal(k) if k > 1 else np.ones(1))
+    return x * (scale / np.linalg.norm(x))
+
+
 def _models(seed: int, damage: float, flips: int) -> list[quantize.ErrorModel]:
     return [
         quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY),
@@ -89,6 +106,37 @@ def test_every_trial_stays_within_its_bound(name, seed, complex_valued, levels,
     for model, report in zip(
             models, quantize.distortion_trials(frame, x, rep, spec, models)):
         assert report.l2_error <= report.theoretical_bound, model
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ALL),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=8),
+    scale=st.sampled_from(SCALES),
+    last=st.booleans(),
+)
+def test_encode_certificates_hold_on_clipping_inputs(name, seed, k, scale, last):
+    frame, cfg = _case(name)
+    cfg = dataclasses.replace(cfg, exact_last_iteration=last)
+    x = _clipping_input(frame, seed, k, scale)
+    rep = conversion.kashin_encode(frame, x, cfg)
+    err = linalg.norm2(x - frames.synthesis(frame, rep.coefficients))
+    assert err <= rep.residual_bound
+    cap = rep.level_K * linalg.norm2(x) / np.sqrt(frame.N)
+    assert np.max(np.abs(rep.coefficients)) <= cap
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_clipping_inputs_clip(name):
+    # sums of many columns mostly stay under the Gaussian frame's clip
+    # level; on the tight frames nearly every input clips
+    frame, cfg = _case(name)
+    clipped = sum(
+        conversion.kashin_encode(frame, _clipping_input(frame, seed, k, 1.0),
+                                 cfg).clip_counts[0] > 0
+        for seed in range(8) for k in range(1, 9))
+    assert clipped >= (12 if name == "gaussian" else 56)
 
 
 @settings(max_examples=30, deadline=None)

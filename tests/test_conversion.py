@@ -132,6 +132,30 @@ class TestMapVerification:
                 assert len(calls) == rep.iterations_used - last >= 2
                 assert set(calls) == {(f.N,)}
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_map_sees_the_componentwise_quotient(self, complex_valued):
+        # b/M divided part by part is correctly rounded; numpy's complex by
+        # real division multiplies by a reciprocal and misses by an ulp
+        seen = []
+
+        def recording(z):
+            seen.append(z.copy())
+            return conversion.default_scalar_map(z)
+
+        spec = conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
+                                         scalar_map=recording)
+        g = linalg.rng_from_seed(29)
+        b = g.standard_normal(4096)
+        if complex_valued:
+            b = b + 1j * g.standard_normal(4096)
+        for M in (0.1, 0.3, 3.0):
+            del seen[:]
+            conversion._truncate_block(b, M, spec)
+            (u,) = seen
+            assert u.dtype == b.dtype
+            assert np.array_equal(u.real, b.real / M)
+            assert np.array_equal(u.imag, np.imag(b) / M)
+
 
 class TestTruncationOperator:
     def test_hand_example_on_two_copies(self, two_copies_frame):
@@ -658,8 +682,9 @@ def _reference_encode(f, x, cfg):
             scale[over] = M / mags[over]
             b_hat = b * scale
         else:
-            # the array contract: coefficients the map leaves alone keep b
-            u = b / M
+            # the array contract: coefficients the map leaves alone keep b,
+            # and the map sees b/M divided part by part
+            u = b.real / M + 1j * (b.imag / M) if np.iscomplexobj(b) else b / M
             t = np.asarray(scalar_map(u))
             if not np.iscomplexobj(b):
                 t = linalg.real_if_exact(t)
@@ -799,14 +824,90 @@ class TestParsevalPasses:
         assert rep.residual_norms == (0.0,)
         assert widths == []
 
-    def test_a_column_input_synthesizes_only_clipped_columns(self, frame_64x128,
-                                                             monkeypatch):
-        widths = self._spy(monkeypatch, frames, "synthesis")
-        x = column_unit(frame_64x128, 5)
-        rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.05, iterations=20))
-        assert rep.iterations_used >= 2 and rep.residual_norms[-1] == 0.0
-        assert widths == [c for c in rep.clip_counts if c]
-        assert 0 < max(widths) <= 128 // 8
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_a_dense_column_input_reads_the_matrix_twice(self, name, monkeypatch):
+        # both clipping passes clip one index, the same one: the first Gram
+        # step analyzes that frame vector for its Gram column and the second
+        # reuses it, so only b_1 = U* x and that column read the matrix
+        f = _PARSEVAL_FRAMES[name]()
+        x = column_unit(f, 9)
+        cfg = _exact_cfg(0.9, 0.2, iterations=20)
+        synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
+        rep = conversion.kashin_encode(f, x, cfg)
+        assert rep.clip_counts == (1, 1, 0)
+        assert analysis_calls == [64, 64]
+        assert synthesis_calls == []
+        monkeypatch.undo()
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert rep.clip_counts == tuple(counts)
+        assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+        np.testing.assert_allclose(rep.residual_norms[:2], norms[:2], rtol=1e-12)
+
+    def test_a_pass_with_two_new_indices_takes_the_operator_pair(self, monkeypatch):
+        # the first pass clips two indices no Gram step has seen, so it
+        # synthesizes them and runs one full analysis; the second clips one
+        # new index and analyzes its frame vector instead.  Each Gram step
+        # reads the matrix once, as when every step took the operator pair
+        f = _PARSEVAL_FRAMES["real"]()
+        g = linalg.rng_from_seed(3)
+        x = frames.columns(f, g.choice(f.N, 2, replace=False)) @ g.standard_normal(2)
+        cfg = _exact_cfg(0.9, 0.2, iterations=20)
+        synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
+        rep = conversion.kashin_encode(f, x, cfg)
+        assert rep.clip_counts == (2, 1, 0)
+        assert synthesis_calls == [2]
+        assert len(analysis_calls) == 1 + sum(c > 0 for c in rep.clip_counts)
+        monkeypatch.undo()
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert rep.clip_counts == tuple(counts)
+        assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_dense_gram_columns_are_analyzed_once(self, name, monkeypatch):
+        # the reads each support costs: one for a new index, none once all
+        # are kept, and the operator pair for two new indices at once
+        f = _PARSEVAL_FRAMES[name]()
+        u = frames.dense(f)
+        gram = frames.GramStep(f)
+        g = linalg.rng_from_seed(11)
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
+        synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
+        for support, reads, pair in (([3], 1, False), ([3, 40], 1, False),
+                                     ([40, 3], 0, False), ([7, 3, 8], 1, True),
+                                     ([7], 1, False), ([3, 7, 40], 0, False)):
+            del analysis_calls[:], synthesis_calls[:]
+            e = np.zeros(f.N, dtype=u.dtype)
+            e[support] = g.standard_normal(len(support))
+            ga, rn = gram(e, np.array(support))
+            assert len(analysis_calls) == reads
+            assert synthesis_calls == ([len(support)] if pair else [])
+            expected = u.conj().T @ (u[:, support] @ e[support])
+            assert np.linalg.norm(ga - expected) <= 1e-14 * np.linalg.norm(e)
+            assert rn == pytest.approx(np.linalg.norm(u @ e), rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_dense_column_sums_match_the_full_synthesis_loop(self, name, k, scale, last):
+        f = _PARSEVAL_FRAMES[name]()
+        g = linalg.rng_from_seed(k)
+        reclipped = 0
+        for delta in (0.2, 0.5):
+            cfg = _exact_cfg(0.9, delta, iterations=20, exact_last_iteration=last)
+            for _ in range(3):
+                w = g.standard_normal(k)
+                x = scale * (frames.columns(f, g.choice(f.N, k, replace=False)) @ w)
+                rep = conversion.kashin_encode(f, x, cfg)
+                a, norms, counts = _reference_encode(f, x, cfg)
+                assert rep.clip_counts == tuple(counts) and counts[0] > 0
+                assert linalg.norm2(rep.coefficients - a) <= 1e-12 * linalg.norm2(a)
+                err = linalg.norm2(x - frames.synthesis(f, rep.coefficients))
+                assert err <= rep.residual_bound
+                reclipped += counts[1] > 0
+        assert reclipped >= 3
 
     def test_the_last_pass_by_count_runs_no_analysis(self, frame_64x128, monkeypatch):
         # no pass follows the second, so it takes norm(U e) from a
