@@ -2,18 +2,20 @@
 
 The core algorithm: repeatedly analyze the residual, clip each
 coefficient at a level that shrinks geometrically, synthesize the clipped
-coefficients back and subtract.  On a Parseval frame (U U* = I) the new
-residual r - U clip(U* r) equals U e for the excess e = U* r - clip(U* r),
-which lives on the few clipped coefficients, so the loop carries
-coefficients instead of residuals: the next pass clips U* U e = G e, one
-Gram step on the clipped support.  Under an uncertainty principle with
-parameters (eta, delta) each pass contracts the residual by eta, and the
-accumulated coefficients stay below (K/sqrt(N)) times the input norm with
-K = (1 - eta)^-1 * delta^-1/2.  Two algorithm variants adjust (eta, K):
-clipping through an approximate scalar map with parameters (nu, tau), and
-running against a frame that is only tight up to a factor (1 +/- eps).
-A third variant skips clipping on one final pass to make the expansion
-exact at the cost of a doubled level.
+coefficients back and subtract; the loop carries the analysis
+coefficients of the residual from one pass to the next.  On a Parseval
+frame (U U* = I) the new residual r - U clip(U* r) equals U e for the
+excess e = U* r - clip(U* r), which lives on the few clipped
+coefficients, so the loop keeps no residual: the next pass clips
+U* U e = G e, one Gram step on the clipped support.  Under an
+uncertainty principle with parameters (eta, delta) each pass contracts
+the residual by eta, and the accumulated coefficients stay below
+(K/sqrt(N)) times the input norm with K = (1 - eta)^-1 * delta^-1/2.
+Two algorithm variants adjust (eta, K): clipping through an approximate
+scalar map with parameters (nu, tau), and running against a frame that
+is only tight up to a factor (1 +/- eps).  A third variant skips
+clipping on one final pass to make the expansion exact at the cost of a
+doubled level.
 """
 
 from __future__ import annotations
@@ -130,11 +132,10 @@ class KashinRepresentation:
     carried residual is ``x - U a_k``.  On a Parseval frame it is the
     modeled ``U e_k`` for the pass's clipped excess ``e_k`` (see
     :func:`kashin_encode`), whose norm is recorded as
-    ``sqrt(Re <e_k, G e_k>)`` with ``G = U* U``, or as ``norm(U e_k)``
-    when no pass follows; a pass that clips nothing, and an exact
-    completion pass, record 0.  It differs from ``norm(x - U a_k)`` by at
-    most ``(2 eps + eps^2)`` times the summed norms of the residuals
-    entering the passes, plus rounding.
+    ``sqrt(Re <e_k, G e_k>)`` with ``G = U* U``; a pass that clips
+    nothing, and an exact completion pass, record 0.  It differs from
+    ``norm(x - U a_k)`` by at most ``(2 eps + eps^2)`` times the summed
+    norms of the residuals entering the passes, plus rounding.
     """
 
     coefficients: np.ndarray
@@ -257,22 +258,19 @@ def _truncate_block(
 
 
 def truncation_operator(
-    f: frames.FrameMatrix, x, M: float, spec: TruncationSpec,
-    clip_counts: list[int] | None = None,
+    f: frames.FrameMatrix, x, M: float, spec: TruncationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One clipping pass: analyze, clip every coefficient at level M,
-    synthesize.
+    """The paper's truncation operator T: analyze, clip every coefficient
+    at level M, synthesize.
 
     Returns ``(Tx, b_hat)`` with ``Tx = U b_hat``.  When the frame
     satisfies the uncertainty principle at (eta, delta) and
     ``M = norm(x)/sqrt(delta*N)``, the residual obeys
-    ``norm(x - Tx) <= eta * norm(x)``.  When ``clip_counts`` is a list,
-    the number of coefficients the clip changed is appended to it.
+    ``norm(x - Tx) <= eta * norm(x)``.  :func:`kashin_encode` runs the
+    same clip, :func:`_truncate_block`, on coefficients it carries from
+    pass to pass, and does not call this.
     """
-    b = frames.analysis(f, x)
-    b_hat, clipped = _truncate_block(b, M, spec)
-    if clip_counts is not None:
-        clip_counts.append(clipped.size)
+    b_hat, _ = _truncate_block(frames.analysis(f, x), M, spec)
     return frames.synthesis(f, b_hat), b_hat
 
 
@@ -353,33 +351,34 @@ def kashin_encode(
     float64 range or, for a nonzero input, lies below its normal range
     (``np.finfo(np.float64).tiny``), where the bounds' margins underflow.
 
-    On a Parseval frame (measured defect at most 1e-12) the loop runs in
-    coefficient space.  It analyzes ``x`` once, ``b_1 = U* x``; pass k
-    clips ``b_k`` and carries ``b_{k+1} = G e_k`` for the clipped excess
-    ``e_k = b_k - clip(b_k)`` and the Gram operator ``G = U* U``, which
-    are the analysis coefficients of the modeled residual ``U e_k``.  Its
-    norm is ``sqrt(Re <e_k, G e_k>)``, summed over the clipped support
-    ``S_k`` alone and scaled so that no finite input overflows or
-    underflows.  :class:`frames.GramStep` computes both.  When ``|S_k|``
-    is small, ``G e_k`` is the sum over ``S_k`` of columns of G: on a
-    partial Fourier frame rotated copies of the circulant's first column,
-    so a pass clipping a few coefficients runs no FFT; on a dense frame
-    columns ``U* u_t`` kept from earlier passes of the encode, plus at
-    most one new one, made by a full analysis.  A dense pass that clips
-    two or more new indices, or a wide support, takes a synthesis of the
-    clipped columns and a full analysis, so a column input whose passes
-    re-clip one index reads the matrix twice: for ``b_1`` and for its
-    Gram column.  A pass that clips nothing ends the loop with a zero
-    residual, and the last pass by count, which no pass follows, takes
-    ``norm(U e_k)`` alone, with no analysis on a dense frame and no FFT on
-    a small Fourier support.
-    An exact completion adds the carried ``b``, which leaves the modeled
-    residual ``U e - U U* U e = 0``.  The residual bound then adds
+    The loop has one pass body.  Every frame carries ``b = U* r``, the
+    analysis coefficients of the residual r, from ``b_1 = U* x``.  Pass k
+    clips ``b_k`` once and adds ``clip(b_k)`` to the coefficients.  A
+    frame that is not Parseval then subtracts ``U clip(b_k)`` from r and
+    analyzes the new r when another pass or the completion needs it.  On
+    a Parseval frame (measured defect at most 1e-12) the pass carries
+    ``b_{k+1} = G e_k`` for the clipped excess ``e_k = b_k - clip(b_k)``
+    and ``G = U* U``: the analysis coefficients of the modeled residual
+    ``U e_k``, whose norm ``sqrt(Re <e_k, G e_k>)`` is summed over the
+    clipped support ``S_k`` alone and scaled so that no finite input
+    overflows or underflows.  :class:`frames.GramStep` computes both on
+    every pass that clips.  When ``|S_k|`` is small, ``G e_k`` is the sum
+    over ``S_k`` of columns of G: on a partial Fourier frame rotated
+    copies of the circulant's first column, so the pass runs no FFT; on a
+    dense frame columns ``U* u_t`` kept from earlier passes of the
+    encode, plus at most one new one, made by a full analysis.  A dense
+    pass that clips two or more new indices, or a wide support, takes a
+    synthesis of the clipped columns and a full analysis, so a column
+    input whose passes re-clip one index reads the matrix twice: for
+    ``b_1`` and for its Gram column.  A pass that clips nothing ends the
+    loop with a zero residual.
+    An exact completion adds the carried ``b``; a frame that is not
+    Parseval also subtracts ``U b`` from r.  On a Parseval frame the
+    modeled residual ``U e - U U* U e`` is 0, and the residual bound adds
     ``(2 eps + eps^2)`` times the summed norms of the residuals entering
     the passes, completion included, with
     ``eps = max(cfg.frame_epsilon, f.tightness_eps)``: the most by which
-    the modeled residual can stray from ``x - U a``.  Other frames run
-    :func:`truncation_operator`, a full analysis and synthesis per pass.
+    the modeled residual can stray from ``x - U a``.
     """
     v = linalg.as_vector(x)
     if v.shape[0] != f.n:
@@ -412,13 +411,11 @@ def kashin_encode(
 
     M = mult * norm / math.sqrt(cfg.up.delta * f.N)
     parseval = f.tightness_eps <= _PARSEVAL_EPS
-    if parseval:
-        # b holds the next pass's analysis coefficients, None once a pass
-        # leaves no excess to carry
-        gram = frames.GramStep(f)
-        b = frames.analysis(f, v)
-    else:
-        residual = v.copy()
+    # the residual x - U a, kept on frames that are not Parseval, and the
+    # analysis coefficients of the residual the next pass clips, None once
+    # there is no residual left to carry
+    gram, residual = frames.GramStep(f), v
+    b = frames.analysis(f, v)
     a = None
     prev = norm
     norms: list[float] = []
@@ -426,21 +423,16 @@ def kashin_encode(
     entering_sum = 0.0
     for k in range(1, r + 1):
         entering_sum += prev
-        if parseval:
-            b_hat, clipped = _truncate_block(b, M, cfg.truncation)
-            clip_counts.append(clipped.size)
-            if not clipped.size:
-                b, rn = None, 0.0
-            elif k == r and not cfg.exact_last_iteration:
-                # no pass follows, so only norm(U e) is needed
-                rn = gram.synthesis_norm(b - b_hat, clipped)
-            else:
-                b, rn = gram(b - b_hat, clipped)
-        else:
-            tx, b_hat = truncation_operator(f, residual, M, cfg.truncation, clip_counts)
-            residual = residual - tx
-            rn = linalg.norm2(residual)
+        b_hat, clipped = _truncate_block(b, M, cfg.truncation)
+        clip_counts.append(clipped.size)
         a = _accumulate(a, b_hat)
+        if not parseval:
+            residual = residual - frames.synthesis(f, b_hat)
+            rn = linalg.norm2(residual)
+        elif clipped.size:
+            b, rn = gram(b - b_hat, clipped)
+        else:
+            b, rn = None, 0.0
         norms.append(rn)
         if rn > (eta_adj + 0.05) * prev + 1e-12 * norm:
             raise NonConvergence(
@@ -450,31 +442,32 @@ def kashin_encode(
             )
         prev = rn
         M *= eta_adj
-        if rn <= _EARLY_STOP * norm:
+        last = k == r or rn <= _EARLY_STOP * norm
+        if not parseval:
+            # analyzed only for a pass or a completion that clips or adds it
+            needed = not last or (cfg.exact_last_iteration and rn > 0.0)
+            b = frames.analysis(f, residual) if needed else None
+        if last:
             break
 
     eps = cfg.frame_epsilon
     if cfg.exact_last_iteration:
-        entering = prev
-        # a zero residual has zero coefficients: the pass is counted, and
-        # records rn = 0, without running the frame operators
-        if parseval:
-            # b = U* r for the carried r, so the modeled residual is
-            # r - U U* r = 0; b is tested rather than entering, which can
-            # round to 0 while the excess carried into b does not
-            if b is not None:
-                a = _accumulate(a, b)
-            entering_sum += entering
-            rn = 0.0
-        elif entering > 0.0:
-            b = frames.analysis(f, residual)
+        # adding b = U* r leaves r - U U* r, which is 0 on a Parseval frame
+        # and measured on any other; with no b the pass is counted, and
+        # records 0, without running the frame operators.  On a Parseval
+        # frame b is tested rather than the entering norm, which can round
+        # to 0 while the excess carried into b does not
+        entering_sum += prev
+        rn = 0.0
+        if b is not None:
             a = _accumulate(a, b)
-            residual = residual - frames.synthesis(f, b)
-            rn = linalg.norm2(residual)
+            if not parseval:
+                residual = residual - frames.synthesis(f, b)
+                rn = linalg.norm2(residual)
         norms.append(rn)
         clip_counts.append(0)
-        level_cert = level + (1.0 + eps + 1e-9) * (entering / norm) * math.sqrt(f.N)
-        bound = max(((1.0 + eps) ** 2 - 1.0) * entering, rn)
+        level_cert = level + (1.0 + eps + 1e-9) * (prev / norm) * math.sqrt(f.N)
+        bound = max(((1.0 + eps) ** 2 - 1.0) * prev, rn)
     else:
         level_cert = level
         bound = max(eta_adj ** len(norms) * norm, prev)

@@ -88,8 +88,11 @@ def _read_frame(fh) -> frames.FrameMatrix:
     copy, once the header and the stream's length agree.  A kind-0
     (complex) payload whose imaginary part is exactly zero becomes a
     float64 frame, as every real matrix does (see
-    :class:`frames.FrameMatrix`).  The format does not carry the tightness
-    defect; the frame measures it on first read of ``tightness_eps``.
+    :class:`frames.FrameMatrix`), which also refuses row indices that are
+    unsorted, repeated or out of range and a matrix with a NaN or infinite
+    entry; its errors surface as :class:`FormatError`.  The format does
+    not carry the tightness defect; the frame measures it on first read of
+    ``tightness_eps``.
     """
     head = fh.read(_FRAME_HEADER.size)
     if len(head) < _FRAME_HEADER.size:
@@ -106,13 +109,14 @@ def _read_frame(fh) -> frames.FrameMatrix:
     size = fh.seek(0, io.SEEK_END) - _FRAME_HEADER.size
     fh.seek(_FRAME_HEADER.size)
     kind, dtype = _KINDS[kind_code]
-    if kind == frames.DENSE:
-        matrix = _read_payload(fh, size, "dense", dtype, (n, N))
-        return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
-    omega = _read_payload(fh, size, "index", dtype, (n,)).astype(np.int64)
-    if np.any(omega >= N) or np.any(np.diff(omega) <= 0):
-        raise FormatError("row indices must be sorted, distinct, and in [0, N)")
-    return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
+    try:
+        if kind == frames.DENSE:
+            matrix = _read_payload(fh, size, "dense", dtype, (n, N))
+            return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
+        omega = _read_payload(fh, size, "index", dtype, (n,)).astype(np.int64)
+        return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
+    except InvalidParams as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:

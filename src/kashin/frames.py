@@ -10,6 +10,8 @@ circulant, which :class:`GramStep` uses on small supports and for the
 Gram blocks that calibration scores.  On a dense frame :class:`GramStep`
 keeps each Gram column U* u_t it computes for as long as it lives, one
 encode, so a clipping pass whose support it has seen reads no matrix.
+Every clipping pass of a Parseval encode, the last one included, takes
+one Gram step.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ _SPARSE_SYNTHESIS = 8
 # so the sum stays cheaper up to 18-21 and 28-32 rotations.  Timing each
 # width on its own gave crossovers as low as 8 at N = 480, because single
 # minima on that host spread by up to 2x; the fit above did not move
-# between runs.  16 lies below the crossover at both sizes.
+# between runs.  16 lies below the crossover at both sizes.  The same
+# cut-off bounds the dense sum of kept Gram columns (see GramStep).
 _GRAM_ROTATIONS = 16
 
 
@@ -65,6 +68,9 @@ class FrameMatrix:
     A dense matrix whose imaginary part is exactly zero is stored as
     float64 (see :func:`linalg.real_if_exact`), so real frames read and
     multiply half the bytes of complex storage.
+
+    A dense matrix with a NaN or infinite entry raises
+    :class:`InvalidParams`.
 
     ``tightness_eps`` is the deviation of the frame operator's singular
     values from 1, measured by :func:`measure_tightness` on first read and
@@ -86,6 +92,8 @@ class FrameMatrix:
             if self.matrix is None or self.matrix.shape != (self.n, self.N):
                 raise InvalidParams("dense frame needs an (n, N) coefficient matrix")
             object.__setattr__(self, "matrix", linalg.real_if_exact(self.matrix))
+            if not _finite(self.matrix):
+                raise InvalidParams("frame matrix has a NaN or infinite entry")
         elif self.kind == PARTIAL_FOURIER:
             om = self.omega
             if om is None or om.shape != (self.n,):
@@ -114,6 +122,14 @@ class FrameFamily:
             raise InvalidParams(f"unknown family tag {self.tag!r}")
         if not 1 <= self.n <= self.N:
             raise InvalidParams(f"need 1 <= n <= N, got n={self.n} N={self.N}")
+
+
+def _finite(m: np.ndarray) -> bool:
+    """Whether every entry of ``m`` is finite.  The extremes of each real
+    part propagate a NaN and hold any infinity, and unlike
+    ``np.isfinite(m)`` they form no temporary the size of ``m``."""
+    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
+    return all(math.isfinite(p.max()) and math.isfinite(p.min()) for p in parts)
 
 
 def columns(frame: FrameMatrix, support) -> np.ndarray:
@@ -158,17 +174,24 @@ def measure_tightness(frame: FrameMatrix) -> float:
     about 5e-10 at most.  Otherwise the value is exact, from the
     eigenvalues of E: ``sigma = sqrt(max(1 + mu, 0))``.  DFT row
     selections are orthonormal by construction, so partial Fourier frames
-    record 0 at every size without materializing.
+    record 0 at every size without materializing.  Raises
+    :class:`InvalidParams` when ``U U*`` overflows, as it does for finite
+    entries near 1e200.
     """
     if frame.kind == PARTIAL_FOURIER:
         return 0.0
     u = frame.matrix
-    gram = u @ u.conj().T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    r = max(
-        float(np.abs(gram[i:i + _ROW_BLOCK]).sum(axis=1).max())
-        for i in range(0, frame.n, _ROW_BLOCK)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = u @ u.conj().T
+        gram[np.diag_indices_from(gram)] -= 1.0
+        # np.max, not the built-in, which drops a NaN depending on where
+        # it stands; r is finite exactly when E and its row sums are
+        r = float(np.max([
+            np.abs(gram[i:i + _ROW_BLOCK]).sum(axis=1).max()
+            for i in range(0, frame.n, _ROW_BLOCK)
+        ]))
+    if not math.isfinite(r):
+        raise InvalidParams("the frame's Gram matrix U U* is not finite")
     if r <= _GERSHGORIN_CERT:
         return r / (1.0 + math.sqrt(1.0 - r))
     # sigma^2 = 1 + mu; rounding can push 1 + mu just below 0 when a row is
@@ -313,11 +336,10 @@ class GramStep:
     ``step(a, support)`` returns ``(G a, norm(U a))``: the analysis
     coefficients of the synthesis of ``a`` (length N) and the norm of that
     synthesis, ``sqrt(Re <a, G a>)`` summed over the support alone by
-    :func:`linalg.sqrt_inner`.  ``step.synthesis_norm(a, support)``
-    returns ``norm(U a)`` without ``G a``, for a caller that needs no
-    coefficients after it.
-    ``step.block(supports)`` returns the Gram block ``G[S, S]``: (k, k)
-    for a support of k indices, (B, k, k) for a (B, k) array of them.
+    :func:`linalg.sqrt_inner`.  The encoder takes it on every pass that
+    clips.  ``step.block(supports)`` returns the Gram block ``G[S, S]``:
+    (k, k) for a support of k indices, (B, k, k) for a (B, k) array of
+    them.
 
     A support of at most ``_GRAM_ROTATIONS`` indices gives ``G a`` as the
     sum of ``a_t`` times column t of G, at O(N) per index.  On a partial
@@ -329,10 +351,9 @@ class GramStep:
     once, as the operator pair does, and not at all when every column is
     kept.  The same cut-off bounds the dense sum, O(N |S|) against the
     O(n N) analysis it replaces.  Any other support takes :func:`synthesis`
-    on the support and a full :func:`analysis`.  ``norm(U a)`` alone comes
-    from the support's block on a small Fourier support, with no FFT, and
-    from one synthesis otherwise; a dense block is formed from the
-    gathered columns, in real arithmetic for a real frame.
+    on the support, which multiplies only the support's columns of a
+    dense frame, and a full :func:`analysis`.  A dense block is formed
+    from the gathered columns, in real arithmetic for a real frame.
 
     The kernel ``[c, c]`` and the dense columns are built at the first
     step or block that needs them and live as long as the object, so make
@@ -346,12 +367,6 @@ class GramStep:
         self._kernel = None
         # dense columns G[:, t], by t
         self._columns: dict[int, np.ndarray] = {}
-
-    def _rotations(self, support) -> bool:
-        return (
-            self.frame.kind == PARTIAL_FOURIER
-            and len(support) <= _GRAM_ROTATIONS
-        )
 
     def _summable(self, support) -> bool:
         """Whether ``G a`` on ``support`` is the sum of Gram columns."""
@@ -393,18 +408,14 @@ class GramStep:
                 ga += coeffs[t] * self._column(t)
         return ga, linalg.sqrt_inner(coeffs[support], ga[support])
 
-    def synthesis_norm(self, coeffs, support) -> float:
-        if not self._rotations(support):
-            return linalg.norm2(synthesis(self.frame, coeffs, support=support))
-        a = coeffs[support]
-        return linalg.sqrt_inner(a, self.block(support) @ a)
-
     def block(self, supports) -> np.ndarray:
         s = np.asarray(supports, dtype=np.int64)
         if self.frame.kind == PARTIAL_FOURIER:
             return self._circulant()[self.frame.N + s[..., :, None] - s[..., None, :]]
         sub = np.moveaxis(columns(self.frame, s), 0, -2)
-        return np.swapaxes(sub.conj(), -1, -2) @ sub
+        # an entry near 1e200 overflows the block, which its caller refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.swapaxes(sub.conj(), -1, -2) @ sub
 
 
 def frame_norm_sum(frame: FrameMatrix) -> float:

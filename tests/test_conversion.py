@@ -909,20 +909,62 @@ class TestParsevalPasses:
                 reclipped += counts[1] > 0
         assert reclipped >= 3
 
-    def test_the_last_pass_by_count_runs_no_analysis(self, frame_64x128, monkeypatch):
-        # no pass follows the second, so it takes norm(U e) from a
-        # synthesis of its clipped columns and skips the Gram step's analysis
-        widths = self._spy(monkeypatch, frames, "synthesis")
+    @pytest.mark.parametrize("name", ["real", "complex", "fourier-480"])
+    def test_a_last_pass_by_count_that_clips_takes_the_gram_step(self, name, monkeypatch):
+        # no pass follows the second, which clips one index and records
+        # norm(U e) from the Gram step every clipping pass takes: the
+        # dense frame analyzes that index's frame vector for its Gram
+        # column, the Fourier frame sums one rotated kernel
+        f = _PARSEVAL_FRAMES[name]()
+        x = column_unit(f, 9)
+        cfg = _exact_cfg(0.9, 0.2, iterations=2)
+        synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
         analysis_calls = self._spy(monkeypatch, frames, "analysis")
-        x = column_unit(frame_64x128, 5)
-        rep = conversion.kashin_encode(frame_64x128, x, _exact_cfg(0.9, 0.2, iterations=2))
-        assert rep.clip_counts[1] > 0
-        assert widths == list(rep.clip_counts)
-        assert len(analysis_calls) == 2
+        dft_calls = self._spy(monkeypatch, linalg, "dft")
+        rep = conversion.kashin_encode(f, x, cfg)
+        assert rep.clip_counts == (1, 1)
+        assert analysis_calls == [f.n] * (1 if f.kind == frames.PARTIAL_FOURIER else 2)
+        assert synthesis_calls == dft_calls == []
         monkeypatch.undo()
-        err = np.linalg.norm(x - frames.synthesis(frame_64x128, rep.coefficients))
-        assert abs(rep.residual_norms[-1] - err) <= 1e-14
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert rep.clip_counts == tuple(counts)
+        assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
+        # the second pass's excess, clipped from the analysis of the
+        # residual the first pass leaves
+        eta_adj, mult, _ = conversion.adjusted_parameters(cfg)
+        b_hat_1, _ = conversion._truncate_block(
+            frames.analysis(f, x), mult / math.sqrt(0.2 * f.N), cfg.truncation)
+        b = frames.analysis(f, x - frames.synthesis(f, b_hat_1))
+        M = eta_adj * mult / math.sqrt(0.2 * f.N)
+        e = b - conversion._truncate_block(b, M, cfg.truncation)[0]
+        ue = np.linalg.norm(frames.synthesis(f, e))
+        assert abs(rep.residual_norms[-1] - ue) <= 1e-14 * ue
+        err = np.linalg.norm(x - frames.synthesis(f, rep.coefficients))
         assert err <= rep.residual_bound
+
+    @pytest.mark.parametrize("dist", [frames.GAUSSIAN, frames.BERNOULLI])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_a_frame_that_is_not_parseval_analyzes_once_per_pass(self, dist, last,
+                                                                  monkeypatch):
+        # every pass clips U* r and subtracts U b_hat; the analysis of the
+        # new residual feeds the next pass, or the completion, which adds
+        # it and subtracts its synthesis
+        f = frames.gen_subgaussian(32, 1024, dist, 3)
+        r = 8
+        cfg = _exact_cfg(0.45, 0.1, iterations=r, exact_last_iteration=last,
+                         frame_epsilon=f.tightness_eps)
+        x = column_unit(f, 9)
+        synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
+        analysis_calls = self._spy(monkeypatch, frames, "analysis")
+        rep = conversion.kashin_encode(f, x, cfg)
+        assert rep.iterations_used == r + last and rep.clip_counts[0] > 0
+        assert analysis_calls == [f.n] * (r + last)
+        assert synthesis_calls == [f.N] * (r + last)
+        monkeypatch.undo()
+        a, norms, counts = _reference_encode(f, x, cfg)
+        assert np.array_equal(rep.coefficients, a)
+        assert rep.residual_norms == tuple(norms)
+        assert rep.clip_counts == tuple(counts)
 
     @pytest.mark.parametrize("last", [False, True])
     def test_fourier_gram_steps_on_both_sides_of_the_cutoff(self, last, monkeypatch):
@@ -967,18 +1009,21 @@ class TestParsevalPasses:
         assert rep.iterations_used == len(norms)
         assert np.linalg.norm(rep.coefficients - a) <= 1e-12 * np.linalg.norm(a)
 
-    def test_a_fourier_last_pass_by_count_runs_no_fft(self, monkeypatch):
-        # the second pass clips one coefficient and no pass follows it, so
-        # norm(U e) comes from the 1 x 1 block of G on its support
+    def test_a_fourier_last_pass_by_count_sums_the_rotated_kernel(self, monkeypatch):
+        # the second pass clips one coefficient and no pass follows it; its
+        # Gram step is one rotated copy of the kernel, so the encode runs
+        # two inverse DFTs, for b_1 and the kernel, and no DFT
         f = frames.gen_partial_fourier(4096, 2048, 12, mode=frames.EXACT_N)
         x = frames.columns(f, [5])[:, 0]
         cfg = _exact_cfg(0.9, 0.02, iterations=2)
         synthesis_calls = self._spy(monkeypatch, frames, "synthesis")
         analysis_calls = self._spy(monkeypatch, frames, "analysis")
         dft_calls = self._spy(monkeypatch, linalg, "dft")
+        idft_calls = self._spy(monkeypatch, linalg, "idft")
         rep = conversion.kashin_encode(f, x, cfg)
         assert rep.clip_counts == (1, 1)
         assert analysis_calls == [2048]
+        assert idft_calls == [4096, 4096]
         assert synthesis_calls == dft_calls == []
         monkeypatch.undo()
         a, norms, counts = _reference_encode(f, x, cfg)

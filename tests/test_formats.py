@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kashin import conversion, formats, frames, linalg, uncertainty
-from kashin.errors import FormatError
+from kashin import cli, conversion, formats, frames, linalg, uncertainty
+from kashin.errors import FormatError, InvalidParams
 
 
 def _sample_rep(frame_8x16):
@@ -115,6 +115,45 @@ class TestFrameFiles:
         payload = np.array([3, 8], dtype="<u4").tobytes()  # out of range
         with pytest.raises(FormatError):
             formats.frame_from_bytes(header + payload)
+
+
+class TestNonFiniteFrameFiles:
+    @staticmethod
+    def _blob(frame_8x16, code, bad):
+        dtype = "<f8" if code == 2 else "<c16"
+        m = np.array(frame_8x16.matrix, dtype=dtype)
+        m[2, 3] = bad if code == 2 else complex(0.5, bad)
+        header = struct.pack("<4sHBII", b"KFRM", 1, code, 8, 16)
+        return header + m.tobytes()
+
+    @pytest.mark.parametrize("code", [2, 0], ids=["real", "complex"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_entry_is_a_format_error(self, tmp_path, capsys,
+                                                  frame_8x16, code, bad):
+        blob = self._blob(frame_8x16, code, bad)
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            formats.frame_from_bytes(blob)
+        path = tmp_path / "bad.kfrm"
+        path.write_bytes(blob)
+        assert cli.run(["info", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN or infinite" in captured.err
+
+    @pytest.mark.parametrize("code", [2, 0], ids=["real", "complex"])
+    def test_a_gram_matrix_that_overflows_is_refused(self, tmp_path, capsys,
+                                                     frame_8x16, code):
+        # finite entries whose products overflow U U*: numpy's eigensolver
+        # would fail to converge on the infinite Gram matrix
+        blob = self._blob(frame_8x16, code, 1e200)
+        frame = formats.frame_from_bytes(blob)
+        with pytest.raises(InvalidParams, match="not finite"):
+            frame.tightness_eps
+        path = tmp_path / "big.kfrm"
+        path.write_bytes(blob)
+        assert cli.run(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the frame's Gram matrix U U* is not finite\n"
 
 
 class TestRealFrameFiles:

@@ -217,15 +217,17 @@ class TestOperators:
                               np.zeros(64))
 
     def test_narrow_support_reads_only_its_columns(self, frame_64x128):
-        # NaN columns off the support poison a full product (0 * NaN) but
-        # are never read by a narrow one
-        m = frame_64x128.matrix.copy()
-        m[:, 16:] = np.nan
-        f = frames.FrameMatrix(n=64, N=128, kind=frames.DENSE, matrix=m)
-        a = np.zeros(128)
-        a[:16] = 1.0
-        assert np.all(np.isfinite(frames.synthesis(f, a, support=np.arange(16))))
-        assert np.all(np.isnan(frames.synthesis(f, a, support=np.arange(17))))
+        # coefficients off the support, which the caller vouches are zero,
+        # are left out of a narrow product together with their columns,
+        # and a full product, which reads every column, keeps them
+        u = frame_64x128.matrix
+        a = linalg.rng_from_seed(5).standard_normal(128)
+        support = np.arange(16)
+        narrow = frames.synthesis(frame_64x128, a, support=support)
+        assert np.array_equal(narrow, u[:, support] @ a[support])
+        full = frames.synthesis(frame_64x128, a, support=np.arange(17))
+        assert np.array_equal(full, frames.synthesis(frame_64x128, a))
+        assert np.linalg.norm(full - narrow) > 1.0
 
     def test_zero_maps_to_zero(self, frame_8x16):
         assert np.all(frames.analysis(frame_8x16, np.zeros(8)) == 0)
@@ -265,6 +267,25 @@ class TestMeasurements:
         )
         with pytest.raises(InvalidConfig, match="tightness defect"):
             conversion.kashin_encode(f, x, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan),
+                                     complex(0.5, -np.inf)])
+    def test_a_non_finite_entry_is_refused(self, frame_8x16, bad):
+        m = frame_8x16.matrix.astype(np.result_type(frame_8x16.matrix, np.asarray(bad)))
+        m[2, 3] = bad
+        with pytest.raises(InvalidParams, match="NaN or infinite"):
+            frames.FrameMatrix(n=8, N=16, kind=frames.DENSE, matrix=m)
+
+    def test_overflow_in_the_gram_matrix_is_refused(self, frame_8x16):
+        # 1e154 squared still fits in float64, 1e200 squared does not
+        m = frame_8x16.matrix.copy()
+        m[2, 3] = 1e154
+        f = frames.FrameMatrix(n=8, N=16, kind=frames.DENSE, matrix=m)
+        assert f.tightness_eps == pytest.approx(1e154, rel=1e-9)
+        m[2, 3] = 1e200
+        f = frames.FrameMatrix(n=8, N=16, kind=frames.DENSE, matrix=m)
+        with pytest.raises(InvalidParams, match="not finite"):
+            frames.measure_tightness(f)
 
     def test_stored_eps_consistent_with_measurement(self, frame_8x16):
         assert abs(
