@@ -203,23 +203,31 @@ def _truncation_from_flag(flag: str | None) -> conversion.TruncationSpec:
     )
 
 
-def _require(args, name: str, holds, rule: str) -> None:
-    """Each value of flag ``name`` (each entry of a list-valued one) that
-    is given must satisfy ``holds``; ``rule`` says how in the message."""
-    values = getattr(args, name)
-    for value in values if isinstance(values, list) else [values]:
-        if value is not None and not holds(value):
-            raise _UsageError(
-                f"kashin {args.command}: argument --{name}: must {rule}, "
-                f"got {value}"
-            )
+# the rule of each count and fraction flag, on every subcommand that
+# takes the flag
+_FLAG_RULES = {
+    "trials": (lambda value: value >= 1, "be at least 1"),
+    "iters": (lambda value: value >= 1, "be at least 1"),
+    "passes": (lambda value: value >= 1, "be at least 1"),
+    "levels": (lambda value: value >= 2, "be at least 2"),
+    "flips": (lambda value: value >= 0, "be at least 0"),
+    "eta": (lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
+    "delta": (lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
+    "damage": (lambda value: 0.0 <= value < 1.0, "lie in [0, 1)"),
+}
 
 
-def _require_counts(args, **least) -> None:
-    """Each given count flag, or each entry of a list-valued one, must be
-    at least ``least[flag]``."""
-    for name, low in least.items():
-        _require(args, name, lambda value: value >= low, f"be at least {low}")
+def _check_flags(args) -> None:
+    """Each given value of a flag in :data:`_FLAG_RULES` (each entry of a
+    list-valued one) must satisfy the flag's rule."""
+    for name, (holds, rule) in _FLAG_RULES.items():
+        values = getattr(args, name, None)
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None and not holds(value):
+                raise _UsageError(
+                    f"kashin {args.command}: argument --{name}: must {rule}, "
+                    f"got {value}"
+                )
 
 
 def _conversion_config(frame, eta, delta, iters, accuracy, exact_last,
@@ -280,7 +288,6 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _require_counts(args, trials=1)
     frame = formats.read_frame(args.frame)
     x = formats.read_vector(args.infile, args.format)
     tag = _MODEL_FLAGS[args.model]
@@ -361,9 +368,6 @@ def _cmd_bench(args) -> int:
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    _require_counts(args, trials=1, passes=1, levels=2)
-    _require(args, "delta", lambda d: 0.0 < d < 1.0, "lie in (0, 1)")
-    _require(args, "damage", lambda d: 0.0 <= d < 1.0, "lie in [0, 1)")
     rows = []
     for flag in args.families:
         for n, N in args.shapes:
@@ -411,6 +415,7 @@ def run(argv) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
         return _COMMANDS[args.command][0](args)
     except (_UsageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

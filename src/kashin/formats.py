@@ -1,5 +1,6 @@
-"""Binary and text serialization: frames, coefficient files, vectors,
-experiment CSV.
+"""Binary and text serialization, one writer and one reader per format:
+frames (``.kfrm``), coefficient files (``.kcof``) and vectors (``.vec``);
+experiment CSV has a writer only, and any CSV reader reads it back.
 
 Everything binary is little-endian with float64 payloads.  Frame files
 (magic ``KFRM``) store either the dense matrix row-major (complex (re, im)
@@ -22,6 +23,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -47,45 +49,30 @@ _KINDS = {
 ASCII = "ascii"
 BINARY = "bin"
 
-CSV_HEADER = [
-    "family", "n", "N", "up_eta", "up_delta", "K", "L", "model",
-    "damage_fraction", "seed", "l2_error", "bound", "bound_ok",
-]
 
-
-def _frame_parts(frame: frames.FrameMatrix) -> tuple[bytes, np.ndarray]:
-    """Header and payload array of a frame file.
+def write_frame(path, frame: frames.FrameMatrix) -> None:
+    """Write a frame file: the header, then the payload array's own
+    buffer, so the file's bytes are never joined in memory.
 
     Dense matrices are row-major, as (re, im) float64 pairs under kind
     code 0, or as float64 under kind code 2 when the frame stores a real
     matrix; row selections (kind code 1) are sorted u32 indices.
     """
     if frame.kind == frames.PARTIAL_FOURIER:
-        code, payload = 1, frame.omega.astype("<u4")
-    elif np.iscomplexobj(frame.matrix):
-        code, payload = 0, np.ascontiguousarray(frame.matrix, dtype="<c16")
+        code, payload = 1, frame.omega
     else:
-        code, payload = 2, np.ascontiguousarray(frame.matrix, dtype="<f8")
-    header = _FRAME_HEADER.pack(FRAME_MAGIC, FORMAT_VERSION, code, frame.n, frame.N)
-    return header, payload
+        code, payload = (0 if np.iscomplexobj(frame.matrix) else 2), frame.matrix
+    payload = np.ascontiguousarray(payload, dtype=_KINDS[code][1])
+    with open(path, "wb") as fh:
+        fh.write(_FRAME_HEADER.pack(FRAME_MAGIC, FORMAT_VERSION, code, frame.n, frame.N))
+        fh.write(payload.data)
 
 
-def frame_to_bytes(frame: frames.FrameMatrix) -> bytes:
-    """Serialize a frame (see :func:`_frame_parts` for the layout)."""
-    header, payload = _frame_parts(frame)
-    return header + payload.tobytes()
-
-
-def frame_from_bytes(blob: bytes) -> frames.FrameMatrix:
-    """Parse a frame file held in memory (see :func:`_read_frame`)."""
-    return _read_frame(io.BytesIO(blob))
-
-
-def _read_frame(fh) -> frames.FrameMatrix:
-    """Parse a frame file from a seekable binary stream.
+def read_frame(path) -> frames.FrameMatrix:
+    """Read a frame file written by :func:`write_frame`.
 
     The payload is read straight into the frame's own array, its only
-    copy, once the header and the stream's length agree.  A kind-0
+    copy, once the header and the file's length agree.  A kind-0
     (complex) payload whose imaginary part is exactly zero becomes a
     float64 frame, as every real matrix does (see
     :class:`frames.FrameMatrix`), which also refuses row indices that are
@@ -94,29 +81,30 @@ def _read_frame(fh) -> frames.FrameMatrix:
     not carry the tightness defect; the frame measures it on first read of
     ``tightness_eps``.
     """
-    head = fh.read(_FRAME_HEADER.size)
-    if len(head) < _FRAME_HEADER.size:
-        raise FormatError("frame file shorter than its header")
-    magic, version, kind_code, n, N = _FRAME_HEADER.unpack(head)
-    if magic != FRAME_MAGIC:
-        raise FormatError(f"bad magic {magic!r}; expected {FRAME_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported frame format version {version}")
-    if kind_code not in _KINDS:
-        raise FormatError(f"unknown frame kind code {kind_code}")
-    if not 1 <= n <= N:
-        raise FormatError(f"inconsistent header dimensions n={n} N={N}")
-    size = fh.seek(0, io.SEEK_END) - _FRAME_HEADER.size
-    fh.seek(_FRAME_HEADER.size)
-    kind, dtype = _KINDS[kind_code]
-    try:
-        if kind == frames.DENSE:
-            matrix = _read_payload(fh, size, "dense", dtype, (n, N))
-            return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
-        omega = _read_payload(fh, size, "index", dtype, (n,)).astype(np.int64)
-        return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
-    except InvalidParams as exc:
-        raise FormatError(str(exc)) from exc
+    with open(path, "rb") as fh:
+        head = fh.read(_FRAME_HEADER.size)
+        if len(head) < _FRAME_HEADER.size:
+            raise FormatError("frame file shorter than its header")
+        magic, version, kind_code, n, N = _FRAME_HEADER.unpack(head)
+        if magic != FRAME_MAGIC:
+            raise FormatError(f"bad magic {magic!r}; expected {FRAME_MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported frame format version {version}")
+        if kind_code not in _KINDS:
+            raise FormatError(f"unknown frame kind code {kind_code}")
+        if not 1 <= n <= N:
+            raise FormatError(f"inconsistent header dimensions n={n} N={N}")
+        size = fh.seek(0, io.SEEK_END) - _FRAME_HEADER.size
+        fh.seek(_FRAME_HEADER.size)
+        kind, dtype = _KINDS[kind_code]
+        try:
+            if kind == frames.DENSE:
+                matrix = _read_payload(fh, size, "dense", dtype, (n, N))
+                return frames.FrameMatrix(n=n, N=N, kind=kind, matrix=matrix)
+            omega = _read_payload(fh, size, "index", dtype, (n,)).astype(np.int64)
+            return frames.FrameMatrix(n=n, N=N, kind=kind, omega=omega)
+        except InvalidParams as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:
@@ -181,20 +169,6 @@ def representation_from_bytes(blob: bytes) -> KashinRepresentation:
         raise FormatError(str(exc)) from exc
 
 
-def write_frame(path, frame: frames.FrameMatrix) -> None:
-    """Write the bytes of :func:`frame_to_bytes` without joining them in
-    memory: the header, then the payload array's own buffer."""
-    header, payload = _frame_parts(frame)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.data)
-
-
-def read_frame(path) -> frames.FrameMatrix:
-    with open(path, "rb") as fh:
-        return _read_frame(fh)
-
-
 def write_representation(path, rep: KashinRepresentation) -> None:
     Path(path).write_bytes(representation_to_bytes(rep))
 
@@ -216,47 +190,54 @@ def write_vector(path, v: np.ndarray, fmt: str = ASCII) -> None:
         raise FormatError(f"unknown vector format {fmt!r}")
 
 
-def _parse_lines(lines) -> np.ndarray:
-    """Parse ascii vector lines one at a time, raising for the first
-    malformed line with its number."""
-    entries = []
+def _raise_for_bad_line(lines) -> NoReturn:
+    """Raise :class:`FormatError` for the first malformed line of an ascii
+    vector file, with its number.  :func:`read_vector` calls it once its
+    fast parse has failed, which happens only on a file with such a line:
+    both make the same ``float`` calls on the same fields."""
     for lineno, line in enumerate(lines, 1):
         parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
+        if parts and len(parts) != 2:
             raise FormatError(f"line {lineno}: expected `re im`, got {line!r}")
         try:
-            entries.append(complex(float(parts[0]), float(parts[1])))
+            for part in parts:
+                float(part)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-    return np.asarray(entries, dtype=np.complex128)
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    """``v``, unless an entry is NaN or infinite: such a file is malformed."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise FormatError(f"vector entry {bad[0] + 1} is NaN or infinite")
+    return v
 
 
 def read_vector(path, fmt: str = ASCII) -> np.ndarray:
-    """Read a complex vector written by :func:`write_vector`."""
+    """Read a complex vector written by :func:`write_vector`; every entry
+    must be finite."""
     if fmt == ASCII:
         lines = Path(path).read_text().splitlines()
         rows = list(map(str.split, lines))
         # blank lines are skipped and every other line holds one `re im`
-        # pair; a file that breaks this goes to the line-by-line parser,
-        # which names the line
+        # pair; a file that breaks this has its first bad line named
         if not set(map(len, rows)) <= {0, 2}:
-            return _parse_lines(lines)
+            _raise_for_bad_line(lines)
         try:
             parts = np.array(list(map(float, itertools.chain.from_iterable(rows))))
         except ValueError:
-            return _parse_lines(lines)
+            _raise_for_bad_line(lines)
         if parts.size == 0:
             raise FormatError("vector file holds no entries")
-        return parts.view(np.complex128)
+        return _finite(parts.view(np.complex128))
     if fmt == BINARY:
         blob = Path(path).read_bytes()
         if len(blob) == 0 or len(blob) % 16:
             raise FormatError(
                 f"binary vector length {len(blob)} is not a positive multiple of 16"
             )
-        return np.frombuffer(blob, dtype="<c16").astype(np.complex128)
+        return _finite(np.frombuffer(blob, dtype="<c16").astype(np.complex128))
     raise FormatError(f"unknown vector format {fmt!r}")
 
 
@@ -288,8 +269,8 @@ def _cell_formatter(kind: str):
     return str
 
 
-_COLUMN_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentRow)}
-_CSV_FORMATTERS = tuple(_cell_formatter(_COLUMN_TYPES[name]) for name in CSV_HEADER)
+CSV_HEADER = [f.name for f in dataclasses.fields(ExperimentRow)]
+_CSV_FORMATTERS = tuple(_cell_formatter(f.type) for f in dataclasses.fields(ExperimentRow))
 _CSV_CELLS = operator.attrgetter(*CSV_HEADER)
 
 
@@ -304,34 +285,3 @@ def write_experiment_csv(path, rows) -> None:
             [fmt(value) for fmt, value in zip(_CSV_FORMATTERS, _CSV_CELLS(row))]
             for row in rows
         )
-
-
-def read_experiment_csv(path) -> list[ExperimentRow]:
-    """Read back an experiment CSV, validating the header."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise FormatError(f"unexpected CSV header {header}")
-        for record in reader:
-            if len(record) != len(CSV_HEADER):
-                raise FormatError(f"row has {len(record)} cells: {record}")
-            kwargs = {}
-            try:
-                for name, cell in zip(CSV_HEADER, record):
-                    kind = _COLUMN_TYPES[name]
-                    if kind == "bool":
-                        if cell not in ("true", "false"):
-                            raise ValueError(f"bad boolean {cell!r}")
-                        kwargs[name] = cell == "true"
-                    elif kind == "int":
-                        kwargs[name] = int(cell)
-                    elif kind == "float":
-                        kwargs[name] = float(cell)
-                    else:
-                        kwargs[name] = cell
-            except ValueError as exc:
-                raise FormatError(f"malformed row {record}: {exc}") from exc
-            rows.append(ExperimentRow(**kwargs))
-    return rows

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -22,6 +23,12 @@ def _value(out: str, label: str) -> float:
         if line.startswith(label):
             return float(line.rsplit(":", 1)[1])
     raise AssertionError(f"no line starting with {label!r} in:\n{out}")
+
+
+def _csv_rows(path) -> list[dict[str, str]]:
+    """The rows of an experiment CSV, as the standard csv module reads them."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _write_input(tmp_path, n, seed=3):
@@ -125,6 +132,84 @@ class TestExitCodes:
             "up-check", str(frame_file), "--delta", "0.001", "--exact",
         ]) == 2
 
+    # F, X and C stand for valid frame, vector and coefficient files, OUT
+    # for the output path
+    @pytest.mark.parametrize("argv, message", [
+        (["up-check", "F", "--delta", "0.125", "--trials", "0"],
+         "argument --trials: must be at least 1, got 0"),
+        (["up-check", "F", "--delta", "0", "--exact"],
+         "argument --delta: must lie in (0, 1), got 0.0"),
+        (["up-check", "F", "--delta", "1", "--exact"],
+         "argument --delta: must lie in (0, 1), got 1.0"),
+        (["encode", "F", "--in", "X", "--eta", "0.97", "--delta", "0.125",
+          "--iters", "0", "--out", "OUT"],
+         "argument --iters: must be at least 1, got 0"),
+        (["encode", "F", "--in", "X", "--eta", "0.97", "--delta", "1.5",
+          "--iters", "2", "--out", "OUT"],
+         "argument --delta: must lie in (0, 1), got 1.5"),
+        (["encode", "F", "--in", "X", "--eta", "1.5", "--delta", "0.125",
+          "--iters", "2", "--out", "OUT"],
+         "argument --eta: must lie in (0, 1), got 1.5"),
+        (["quantize", "--in", "C", "--levels", "1", "--out", "OUT"],
+         "argument --levels: must be at least 2, got 1"),
+        (["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0.97",
+          "--delta", "0.125", "--iters", "0", "--csv", "OUT"],
+         "argument --iters: must be at least 1, got 0"),
+        (["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0.97",
+          "--delta", "0.125", "--levels", "1", "--csv", "OUT"],
+         "argument --levels: must be at least 2, got 1"),
+        (["simulate", "F", "--in", "X", "--model", "bitflip", "--eta", "0.97",
+          "--delta", "0.125", "--flips", "-1", "--csv", "OUT"],
+         "argument --flips: must be at least 0, got -1"),
+        (["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0.97",
+          "--delta", "0.125", "--damage", "1.5", "--csv", "OUT"],
+         "argument --damage: must lie in [0, 1), got 1.5"),
+        (["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0.97",
+          "--delta", "-0.5", "--csv", "OUT"],
+         "argument --delta: must lie in (0, 1), got -0.5"),
+        (["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0",
+          "--delta", "0.125", "--csv", "OUT"],
+         "argument --eta: must lie in (0, 1), got 0.0"),
+    ])
+    def test_count_and_fraction_flags_are_usage_errors(self, tmp_path, capsys,
+                                                       frame_file, argv,
+                                                       message):
+        vec, _ = _write_input(tmp_path, 8)
+        kcof = tmp_path / "c.kcof"
+        assert cli.run(["encode", str(frame_file), "--in", str(vec), "--eta",
+                        "0.97", "--delta", "0.125", "--iters", "2",
+                        "--out", str(kcof)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        files = {"F": frame_file, "X": vec, "C": kcof, "OUT": out}
+        assert cli.run([str(files.get(arg, arg)) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: kashin {argv[0]}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "simulate"])
+    @pytest.mark.parametrize("fmt", [formats.ASCII, formats.BINARY])
+    def test_a_non_finite_vector_entry_is_a_malformed_file(
+            self, tmp_path, capsys, frame_file, command, fmt):
+        vec = tmp_path / "x.vec"
+        x = np.full(8, 0.25 + 0j)
+        x[5] = complex(0.25, math.nan)
+        formats.write_vector(vec, x, fmt)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "encode": ["--iters", "2", "--out", str(out)],
+            "simulate": ["--model", "erasure", "--csv", str(out)],
+        }[command]
+        assert cli.run([command, str(frame_file), "--in", str(vec),
+                        "--format", fmt, "--eta", "0.97", "--delta", "0.125",
+                        *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: vector entry 6 is NaN or infinite\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_approx_trunc_flag(self, tmp_path, frame_file):
         vec, _ = _write_input(tmp_path, 8)
         assert cli.run([
@@ -159,7 +244,9 @@ class TestFrameCommands:
             "--seed", "5", "--out", str(path),
         ]) == 0
         frame = frames.generate(frames.FrameFamily(cli._FAMILY_FLAGS[family], 6, 16, 5))
-        assert path.read_bytes() == formats.frame_to_bytes(frame)
+        expected = tmp_path / "expected.kfrm"
+        formats.write_frame(expected, frame)
+        assert path.read_bytes() == expected.read_bytes()
         assert capsys.readouterr().out == (
             f"wrote {path}: {family} n=6 N=16\n"
             f"tightness epsilon: {frame.tightness_eps:.6e}\n"
@@ -400,11 +487,11 @@ class TestSimulate:
             "--seed", "21", "--csv", str(csv_path),
         ]) == 0
         out = capsys.readouterr().out
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         assert len(rows) == 4
-        assert [r.seed for r in rows] == [21, 22, 23, 24]
-        assert all(r.model == "erasure" for r in rows)
-        assert all(r.bound_ok for r in rows)
+        assert [r["seed"] for r in rows] == ["21", "22", "23", "24"]
+        assert all(r["model"] == "erasure" for r in rows)
+        assert all(r["bound_ok"] == "true" for r in rows)
         assert _value(out, "trials") == 4
         assert _value(out, "bound violations") == 0
 
@@ -442,17 +529,18 @@ class TestSimulate:
         spec = quantize.QuantizerSpec.from_representation(
             rep, 64, complex_mode=complex_mode
         )
-        rows = formats.read_experiment_csv(csv_path)
-        assert [r.seed for r in rows] == list(range(40, 45))
+        rows = _csv_rows(csv_path)
+        assert [int(r["seed"]) for r in rows] == list(range(40, 45))
         for row in rows:
             model = quantize.ErrorModel(
                 tag=cli._MODEL_FLAGS[flag], damage_fraction=0.125,
-                flip_count=3, seed=row.seed,
+                flip_count=3, seed=int(row["seed"]),
             )
             report = quantize.distortion_experiment(frame, x, rep, spec, model)
-            assert row.model == model.tag
-            assert (row.l2_error, row.bound, row.bound_ok) == (
-                report.l2_error, report.theoretical_bound, report.bound_satisfied
+            assert row["model"] == model.tag
+            assert (float(row["l2_error"]), float(row["bound"]), row["bound_ok"]) == (
+                report.l2_error, report.theoretical_bound,
+                str(report.bound_satisfied).lower(),
             )
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -481,10 +569,10 @@ class TestSimulate:
             "--model", "bitflip", "--eta", "0.97", "--delta", "0.125",
             "--flips", "3", "--trials", "3", "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         assert len(rows) == 3
-        assert all(r.model == "bit-flip" for r in rows)
-        assert all(r.bound_ok for r in rows)
+        assert all(r["model"] == "bit-flip" for r in rows)
+        assert all(r["bound_ok"] == "true" for r in rows)
 
 
 class TestBench:
@@ -494,10 +582,10 @@ class TestBench:
             "bench", "--suite", "decay", "--trials", "2",
             "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         assert len(rows) == 2
-        assert all(r.model == "decay" for r in rows)
-        assert all(r.bound_ok for r in rows)
+        assert all(r["model"] == "decay" for r in rows)
+        assert all(r["bound_ok"] == "true" for r in rows)
         assert _value(capsys.readouterr().out, "bound violations") == 0
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -521,15 +609,16 @@ class TestBench:
             "--csv", str(csv_path),
         ]) == 0
         frame = frames.gen_random_orthogonal(64, 128, 0)
-        for row in formats.read_experiment_csv(csv_path):
+        for row in _csv_rows(csv_path):
             cfg = conversion.ConversionConfig(
-                up=uncertainty.UPParams(eta=row.up_eta, delta=row.up_delta),
+                up=uncertainty.UPParams(eta=float(row["up_eta"]),
+                                        delta=float(row["up_delta"])),
                 truncation=conversion.TruncationSpec(),
                 iterations=20,
                 frame_epsilon=frame.tightness_eps + 1e-12,
             )
             expected = conversion.adjusted_parameters(cfg)[0] ** 20 + 1e-13
-            assert row.bound == pytest.approx(expected, rel=1e-13, abs=0)
+            assert float(row["bound"]) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_quantization_suite(self, tmp_path):
         csv_path = tmp_path / "quant.csv"
@@ -537,10 +626,10 @@ class TestBench:
             "bench", "--suite", "quantization", "--trials", "2",
             "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         assert len(rows) == 6
-        assert sorted({r.L for r in rows}) == [16, 64, 256]
-        assert all(r.bound_ok for r in rows)
+        assert sorted({int(r["L"]) for r in rows}) == [16, 64, 256]
+        assert all(r["bound_ok"] == "true" for r in rows)
 
     def test_corruption_suite(self, tmp_path):
         csv_path = tmp_path / "adv.csv"
@@ -548,10 +637,11 @@ class TestBench:
             "bench", "--suite", "corruption", "--trials", "2",
             "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         assert len(rows) == 6
-        assert sorted({round(r.damage_fraction * 128) for r in rows}) == [1, 4, 8]
-        assert all(r.bound_ok for r in rows)
+        assert sorted({round(float(r["damage_fraction"]) * 128)
+                       for r in rows}) == [1, 4, 8]
+        assert all(r["bound_ok"] == "true" for r in rows)
 
     def test_decay_over_all_families(self, tmp_path, capsys):
         csv_path = tmp_path / "decay.csv"
@@ -560,13 +650,14 @@ class TestBench:
             "--families", "orthogonal", "fourier", "gaussian", "bernoulli",
             "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         # subgaussian frames at n = N/2 are too far from tight to contract
         # (eta' >= 1), so they are skipped rather than swept
-        assert [r.family for r in rows] == [frames.RANDOM_ORTHOGONAL] * 2 + [
+        assert [r["family"] for r in rows] == [frames.RANDOM_ORTHOGONAL] * 2 + [
             frames.PARTIAL_FOURIER] * 2
-        assert all((r.n, r.N, r.model, r.L) == (16, 32, "decay", 0) for r in rows)
-        assert all(r.bound_ok for r in rows)
+        assert all((r["n"], r["N"], r["model"], r["L"]) == ("16", "32", "decay", "0")
+                   for r in rows)
+        assert all(r["bound_ok"] == "true" for r in rows)
         out = capsys.readouterr().out
         assert out.count("skipped: adjusted eta") == 2
         assert out.count("worst per-pass ratio=") == 2
@@ -578,17 +669,17 @@ class TestBench:
             "--models", "quantize", "erasure", "--baseline", "--trials", "2",
             "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
+        rows = _csv_rows(csv_path)
         # per level: 2 codec + 2 baseline quantize-only rows, 2 erasure rows
         assert len(rows) == 12
-        assert {r.family for r in rows} == {frames.RANDOM_ORTHOGONAL}
-        assert [(r.L, r.model) for r in rows[:6]] == [
-            (16, quantize.QUANTIZE_ONLY), (16, "baseline")] * 2 + [
-            (16, quantize.ERASURE)] * 2
-        assert sorted({r.L for r in rows}) == [16, 64]
-        assert all(r.damage_fraction == (4 / 128 if r.model == quantize.ERASURE
-                                         else 0.0) for r in rows)
-        assert all(r.bound_ok for r in rows)
+        assert {r["family"] for r in rows} == {frames.RANDOM_ORTHOGONAL}
+        assert [(r["L"], r["model"]) for r in rows[:6]] == [
+            ("16", quantize.QUANTIZE_ONLY), ("16", "baseline")] * 2 + [
+            ("16", quantize.ERASURE)] * 2
+        assert sorted({int(r["L"]) for r in rows}) == [16, 64]
+        assert all(float(r["damage_fraction"]) == (
+            4 / 128 if r["model"] == quantize.ERASURE else 0.0) for r in rows)
+        assert all(r["bound_ok"] == "true" for r in rows)
         assert capsys.readouterr().out.count("baseline median=") == 2
 
     def test_adversarial_rows_without_baseline(self, tmp_path):
@@ -597,10 +688,10 @@ class TestBench:
             "bench", "--suite", "quantization", "--levels", "16", "--trials", "2",
             "--models", "adversarial", "--csv", str(csv_path),
         ]) == 0
-        rows = formats.read_experiment_csv(csv_path)
-        assert [(r.model, r.seed) for r in rows] == [(quantize.ADVERSARIAL, 0),
-                                                     (quantize.ADVERSARIAL, 1)]
-        assert all(r.bound_ok for r in rows)
+        rows = _csv_rows(csv_path)
+        assert [(r["model"], r["seed"]) for r in rows] == [
+            (quantize.ADVERSARIAL, "0"), (quantize.ADVERSARIAL, "1")]
+        assert all(r["bound_ok"] == "true" for r in rows)
 
     @pytest.mark.parametrize("flags, message", [
         (["quantization", "--passes", "0"],
@@ -656,8 +747,7 @@ class TestBench:
             "bench", "--suite", "decay", "--trials", "2", "--csv", str(csv_path),
         ]) == 2
         assert _value(capsys.readouterr().out, "bound violations") == 1
-        assert [r.bound_ok for r in formats.read_experiment_csv(csv_path)] == [
-            False, True]
+        assert [r["bound_ok"] for r in _csv_rows(csv_path)] == ["false", "true"]
 
 
 def _readme_commands() -> list[list[str]]:
