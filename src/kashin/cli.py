@@ -74,7 +74,8 @@ def _encode_args(p) -> None:
     p.add_argument("--accuracy", type=float)
     p.add_argument("--exact-last", action="store_true")
     p.add_argument("--approx-trunc", metavar="NU,TAU",
-                   help="clip through the approximate map with these parameters")
+                   help="certify the clip against approximate-truncation "
+                        "parameters NU,TAU (inflates eta and the level)")
     p.add_argument("--format", choices=[formats.ASCII, formats.BINARY],
                    default=formats.ASCII)
     p.add_argument("--out", required=True)
@@ -154,6 +155,9 @@ def _build_parser(command: str | None = None) -> _Parser:
 
 
 def _cmd_gen_frame(args) -> int:
+    if not 1 <= args.n <= args.N:
+        raise _UsageError(f"kashin gen-frame: need 1 <= n <= N, got n={args.n} "
+                          f"N={args.N}")
     frame = frames.generate(
         frames.FrameFamily(_FAMILY_FLAGS[args.family], args.n, args.N, args.seed)
     )
@@ -271,15 +275,20 @@ def _cmd_decode(args) -> int:
 def _cmd_quantize(args) -> int:
     rep = formats.read_representation(args.infile)
     spec = quantize.QuantizerSpec.from_representation(rep, args.levels)
-    a_hat = quantize.quantize_coeffs(rep.coefficients, spec)[1]
-    # midpoint pairs can reach sqrt(2) times the per-component range
-    quantized = conversion.KashinRepresentation(
-        coefficients=a_hat,
-        level_K=rep.level_K * (math.sqrt(2.0) if spec.complex_mode else 1.0),
-        input_norm=rep.input_norm,
-        residual_bound=rep.residual_bound + spec.error_bound(rep.coefficients),
-        iterations_used=rep.iterations_used,
-    )
+    if rep.input_norm == 0.0:
+        # zero coefficients are exact, and a mid-rise quantizer has no zero
+        # midpoint, so a zero-norm representation is written back unchanged
+        quantized = rep
+    else:
+        a_hat = quantize.quantize_coeffs(rep.coefficients, spec)[1]
+        # midpoint pairs can reach sqrt(2) times the per-component range
+        quantized = conversion.KashinRepresentation(
+            coefficients=a_hat,
+            level_K=rep.level_K * (math.sqrt(2.0) if spec.complex_mode else 1.0),
+            input_norm=rep.input_norm,
+            residual_bound=rep.residual_bound + spec.error_bound(rep.coefficients),
+            iterations_used=rep.iterations_used,
+        )
     formats.write_representation(args.out, quantized)
     print(f"levels: {args.levels}")
     print(f"step: {spec.step:.17g}")

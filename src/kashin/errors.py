@@ -39,7 +39,8 @@ class NonConvergence(KashinError):
 
 
 class ContractViolation(KashinError):
-    """A user-supplied truncation map failed its sampled contract check."""
+    """Data break a certificate they carry, such as coefficients over
+    their certified level bound."""
 
 
 class CodeOutOfRange(KashinError):

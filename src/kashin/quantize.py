@@ -38,6 +38,7 @@ ADVERSARIAL = "adversarial"
 BIT_FLIP = "bit-flip"
 MODEL_TAGS = (QUANTIZE_ONLY, ERASURE, ADVERSARIAL, BIT_FLIP)
 
+# relative slack on a trial's bound: l2 <= bound * (1 + _BOUND_SLACK)
 _BOUND_SLACK = 1e-9
 
 
@@ -312,7 +313,7 @@ class DistortionReport:
 
     def __post_init__(self):
         if self.bound_satisfied != (
-            self.l2_error <= self.theoretical_bound + _BOUND_SLACK
+            self.l2_error <= self.theoretical_bound * (1.0 + _BOUND_SLACK)
         ):
             raise InvalidParams("bound_satisfied contradicts the recorded numbers")
 
@@ -321,7 +322,7 @@ def _report(l2: float, bound: float, damaged: int) -> DistortionReport:
     return DistortionReport(
         l2_error=l2,
         theoretical_bound=bound,
-        bound_satisfied=l2 <= bound + _BOUND_SLACK,
+        bound_satisfied=l2 <= bound * (1.0 + _BOUND_SLACK),
         damaged_count=damaged,
     )
 

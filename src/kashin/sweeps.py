@@ -114,7 +114,7 @@ def decay_sweep(family: frames.FrameFamily, delta: float, passes: int,
             family=family.tag, n=frame.n, N=frame.N, up_eta=eta,
             up_delta=delta, K=rep.level_K, L=0, model="decay",
             damage_fraction=0.0, seed=family.seed + t, l2_error=l2, bound=bound,
-            bound_ok=l2 <= bound + 1e-9,
+            bound_ok=l2 <= bound * (1.0 + 1e-9),
         ))
     return DecaySweep(rows, eta, eta_adj, level, worst)
 

@@ -2,24 +2,31 @@
 bound, on tight, nearly tight and loose frames, at coarse and odd quantizer
 levels and at input norms far from 1.  The encoder's own certificates,
 ``level_K`` and ``residual_bound``, hold on inputs that clip, with hard
-clipping and through a scalar map, at every pass count.
+and approximate clipping, at every pass count.
 
 The bounds must also mean something: at unit norm and L <= 4 the worst
-quantize-only and baseline errors reach at least half their bounds.
+quantize-only and baseline errors reach at least half their bounds.  And
+the checks that judge them are relative, so at input norms 1e-100 and
+1e-300 a report over its bound, a sweep row over its bound and a
+``.kcof`` over its level are refused.
 """
 
 import dataclasses
 import functools
+import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kashin import conversion, frames, linalg, quantize, sweeps
+from kashin import conversion, formats, frames, linalg, quantize, sweeps
+from kashin.errors import ContractViolation, FormatError, InvalidParams
 
 LEVELS = (2, 3, 4, 8, 64)
 SCALES = (1e-100, 1.0, 1e100)
+TINY = (1e-100, 1e-300)
 PASSES = 12
 
 
@@ -46,8 +53,7 @@ def _case(name: str):
 TIGHT = ("orthogonal", "fourier", "near-tight")
 LOOSE = (frames.GAUSSIAN, frames.BERNOULLI)
 ALL = TIGHT + LOOSE
-MAP = conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                                scalar_map=conversion.default_scalar_map)
+APPROX = conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8)
 
 
 def _input(frame, seed: int, complex_valued: bool, scale: float) -> np.ndarray:
@@ -122,15 +128,15 @@ def test_every_trial_stays_within_its_bound(name, seed, complex_valued, levels,
     k=st.integers(min_value=1, max_value=8),
     scale=st.sampled_from(SCALES),
     last=st.booleans(),
-    mapped=st.booleans(),
+    approximate=st.booleans(),
     passes=st.sampled_from([1, 2, 3, 20]),
 )
 def test_encode_certificates_hold_on_clipping_inputs(name, seed, k, scale, last,
-                                                     mapped, passes):
+                                                     approximate, passes):
     # one to three passes end on a pass that still clips
     frame, cfg = _case(name)
     cfg = dataclasses.replace(cfg, exact_last_iteration=last, iterations=passes,
-                              truncation=MAP if mapped else cfg.truncation)
+                              truncation=APPROX if approximate else cfg.truncation)
     x = _clipping_input(frame, seed, k, scale)
     rep = conversion.kashin_encode(frame, x, cfg)
     err = linalg.norm2(x - frames.synthesis(frame, rep.coefficients))
@@ -191,3 +197,67 @@ def test_coarse_bounds_are_not_vacuous(name, complex_valued):
     assert worst["trial"] >= 0.5
     if name in TIGHT:
         assert worst["baseline"] >= 0.5
+
+
+@pytest.mark.parametrize("l2, bound", [(2e-100, 1e-100), (2e-300, 1e-300),
+                                       (5e-10, 1e-90)])
+def test_a_report_over_a_tiny_bound_is_refused(l2, bound):
+    with pytest.raises(InvalidParams, match="contradicts"):
+        quantize.DistortionReport(l2_error=l2, theoretical_bound=bound,
+                                  bound_satisfied=True, damaged_count=0)
+    assert not quantize.DistortionReport(
+        l2_error=l2, theoretical_bound=bound, bound_satisfied=False,
+        damaged_count=0).bound_satisfied
+
+
+@pytest.mark.parametrize("norm, peak", [(1e-100, 1e-100), (1e-300, 1e-300),
+                                        (1e-100, 9e-13)])
+def test_a_kcof_over_its_level_is_refused_at_tiny_norms(tmp_path, norm, peak):
+    # level 1 caps each of 4 coefficients at norm/2; every one is at least
+    # twice that (the last case measures level 1.8e88)
+    header = struct.pack("<4sHIddd", b"KCOF", 1, 4, 1.0, norm, 0.0)
+    path = tmp_path / "c.kcof"
+    path.write_bytes(header + np.full(4, peak, dtype="<c16").tobytes())
+    with pytest.raises(FormatError, match="certified level bound"):
+        formats.read_representation(path)
+    with pytest.raises(ContractViolation):
+        conversion.KashinRepresentation(
+            coefficients=np.full(4, peak), level_K=1.0, input_norm=norm,
+            residual_bound=0.0, iterations_used=1)
+
+
+def test_a_decay_row_over_a_tiny_bound_fails(monkeypatch):
+    # 300 passes bring the bound below 1e-11, and the decoded vector is
+    # moved by 5e-10, which an absolute 1e-9 slack would forgive
+    decode = conversion.kashin_decode
+    family = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, 64, 128, 0)
+    sweep = sweeps.decay_sweep(family, 0.05, 300, 2)
+    assert all(row.bound_ok for row in sweep.rows)
+    assert sweep.rows[0].bound <= 1e-11
+
+    def moved(f, rep):
+        x = decode(f, rep)
+        return x + 5e-10 / math.sqrt(x.size)
+
+    monkeypatch.setattr(conversion, "kashin_decode", moved)
+    sweep = sweeps.decay_sweep(family, 0.05, 300, 2)
+    assert not any(row.bound_ok for row in sweep.rows)
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("scale", TINY)
+def test_certificates_at_tiny_norms_are_accepted(tmp_path, name, scale):
+    frame, cfg = _case(name)
+    path = tmp_path / "c.kcof"
+    for seed, complex_valued in ((0, False), (1, True)):
+        for x in (_input(frame, seed, complex_valued, scale),
+                  _clipping_input(frame, seed, 1, scale)):
+            rep = conversion.kashin_encode(frame, x, cfg)
+            formats.write_representation(path, rep)
+            back = formats.read_representation(path)
+            assert np.array_equal(back.coefficients, rep.coefficients)
+            spec = quantize.QuantizerSpec.from_representation(rep, 4)
+            models = _models(seed, 4 / 128, 3)
+            for model, report in zip(
+                    models, quantize.distortion_trials(frame, x, rep, spec, models)):
+                assert report.bound_satisfied, model

@@ -170,6 +170,9 @@ class TestExitCodes:
         (["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0",
           "--delta", "0.125", "--csv", "OUT"],
          "argument --eta: must lie in (0, 1), got 0.0"),
+        (["gen-frame", "--family", "orthogonal", "--n", "0", "--N", "8",
+          "--out", "OUT"],
+         "need 1 <= n <= N, got n=0 N=8"),
     ])
     def test_count_and_fraction_flags_are_usage_errors(self, tmp_path, capsys,
                                                        frame_file, argv,
@@ -254,7 +257,7 @@ class TestFrameCommands:
         assert cli.run([
             "gen-frame", "--family", family, "--n", "16", "--N", "6",
             "--out", str(tmp_path / "bad.kfrm"),
-        ]) == 2
+        ]) == 1
 
     def test_fourier_family(self, tmp_path, capsys):
         path = tmp_path / "pf.kfrm"
@@ -465,6 +468,31 @@ class TestCodecCommands:
             assert got.level_K == rep.level_K * math.sqrt(2.0)
             assert np.any(got.coefficients.imag)
         assert np.linalg.norm(x - x_hat) <= got.residual_bound
+
+    @pytest.mark.parametrize("family", ["orthogonal", "fourier"])
+    def test_quantize_writes_a_zero_input_back_unchanged(self, tmp_path, capsys,
+                                                         family):
+        frame_path, vec = tmp_path / "f.kfrm", tmp_path / "x.vec"
+        coef, quantized = tmp_path / "c.kcof", tmp_path / "q.kcof"
+        formats.write_vector(vec, np.zeros(8))
+        assert cli.run([
+            "gen-frame", "--family", family, "--n", "8", "--N", "16",
+            "--out", str(frame_path),
+        ]) == 0
+        assert cli.run([
+            "encode", str(frame_path), "--in", str(vec), "--eta", "0.97",
+            "--delta", "0.125", "--iters", "3", "--out", str(coef),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.run([
+            "quantize", "--in", str(coef), "--levels", "16",
+            "--out", str(quantized),
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert quantized.read_bytes() == coef.read_bytes()
+        assert _value(printed, "levels") == 16
+        assert _value(printed, "residual bound") == 0.0
+        assert "step: " in printed
 
     def test_quantize_has_no_real_flag(self, capsys):
         assert cli.run([

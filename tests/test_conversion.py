@@ -36,7 +36,7 @@ def eps_tight_frame():
 def _clip(z, M):
     """The encoder's exact-mode clip at level M, on one coefficient."""
     b = np.array([z], dtype=np.complex128)
-    clipped, _ = conversion._truncate_block(b, M, conversion.TruncationSpec())
+    clipped, _ = conversion._truncate_block(b, M)
     return complex(clipped[0])
 
 
@@ -62,99 +62,6 @@ class TestScalarClip:
         assert abs(t - phase * _clip(mag, level)) <= 1e-12 * max(mag, 1.0)
         if mag <= level:
             assert abs(t - z) <= 1e-15 * mag + 1e-300
-
-
-class TestMapVerification:
-    def test_default_map_passes_many_parameterizations(self):
-        for nu, tau in ((0.1, 0.8), (0.5, 0.5), (0.9, 0.1)):
-            conversion.verify_truncation_map(conversion.default_scalar_map, nu, tau)
-
-    def test_inflating_map_rejected(self):
-        def inflate(z):
-            return 1.2 * z / np.maximum(np.abs(z), 1e-300)
-
-        with pytest.raises(ContractViolation):
-            conversion.verify_truncation_map(inflate, 0.1, 0.8)
-
-    def test_zero_map_rejected_below_tau(self):
-        with pytest.raises(ContractViolation, match="inside tau"):
-            conversion.verify_truncation_map(np.zeros_like, 0.1, 0.8)
-
-    def test_overscaling_map_rejected(self):
-        with pytest.raises(ContractViolation):
-            conversion.verify_truncation_map(lambda z: 1.5 * z, 0.1, 0.8)
-
-    def test_parameter_domain(self):
-        with pytest.raises(InvalidParams):
-            conversion.verify_truncation_map(conversion.default_scalar_map, 0.0, 0.8)
-
-    @pytest.mark.parametrize("shaped", [lambda z: z[:-1], lambda z: np.zeros((2, z.size))],
-                             ids=["shorter", "two-dimensional"])
-    def test_map_output_that_does_not_broadcast_is_rejected(self, shaped):
-        with pytest.raises(ContractViolation, match="shape"):
-            conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                                      scalar_map=shaped)
-
-    def test_nan_output_rejected(self):
-        with pytest.raises(ContractViolation, match="exceeds 1"):
-            conversion.verify_truncation_map(lambda z: np.where(np.abs(z) > 2, np.nan, z),
-                                             0.1, 0.8)
-
-    def test_names_the_first_offending_sample(self):
-        # the radial clip up to |z| = 2 passes, the identity beyond it
-        # breaks |t| <= 1, and the first sample past 2 is named
-        def late(z):
-            return np.where(np.abs(z) > 2.0, z, conversion.default_scalar_map(z))
-
-        with pytest.raises(ContractViolation, match=r"exceeds 1 at .*\(\|z\| = 2\.003"):
-            conversion.verify_truncation_map(late, 0.1, 0.8)
-
-    def test_map_runs_once_per_spec_and_once_per_pass(self, frame_64x128,
-                                                      eps_tight_frame):
-        calls = []
-
-        def counting(z):
-            calls.append(z.shape)
-            return conversion.default_scalar_map(z)
-
-        spec = conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                                         scalar_map=counting)
-        assert len(calls) == 1
-        # a Parseval frame and one that runs the full synthesis loop
-        for f, up in ((frame_64x128, uncertainty.UPParams(eta=0.9, delta=0.05)),
-                      (eps_tight_frame, uncertainty.UPParams(eta=0.45, delta=0.3))):
-            for last in (False, True):
-                del calls[:]
-                cfg = conversion.ConversionConfig(
-                    up=up, truncation=spec, iterations=8, exact_last_iteration=last,
-                    frame_epsilon=f.tightness_eps)
-                rep = conversion.kashin_encode(f, column_unit(f, 5), cfg)
-                assert len(calls) == rep.iterations_used - last >= 2
-                assert set(calls) == {(f.N,)}
-
-    @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_map_sees_the_componentwise_quotient(self, complex_valued):
-        # b/M divided part by part is correctly rounded; numpy's complex by
-        # real division multiplies by a reciprocal and misses by an ulp
-        seen = []
-
-        def recording(z):
-            seen.append(z.copy())
-            return conversion.default_scalar_map(z)
-
-        spec = conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                                         scalar_map=recording)
-        g = linalg.rng_from_seed(29)
-        b = g.standard_normal(4096)
-        if complex_valued:
-            b = b + 1j * g.standard_normal(4096)
-        for M in (0.1, 0.3, 3.0):
-            del seen[:]
-            conversion._truncate_block(b, M, spec)
-            (u,) = seen
-            assert u.dtype == b.dtype
-            assert np.array_equal(u.real, b.real / M)
-            assert np.array_equal(u.imag, np.imag(b) / M)
 
 
 class TestTruncationOperator:
@@ -366,8 +273,7 @@ class TestEncode:
         approx = conversion.ConversionConfig(
             up=uncertainty.UPParams(eta=eta, delta=2 / 16),
             truncation=conversion.TruncationSpec(
-                mode=conversion.APPROXIMATE, nu=0.1, tau=0.9,
-                scalar_map=conversion.default_scalar_map),
+                mode=conversion.APPROXIMATE, nu=0.1, tau=0.9),
             iterations=6,
         )
         fourier = frames.gen_partial_fourier(16, 8, 2, mode=frames.EXACT_N)
@@ -518,28 +424,6 @@ class TestApproximateClipVariant:
         soft = conversion.kashin_encode(frame_8x16, x, soft_cfg)
         assert np.max(np.abs(soft.coefficients - hard.coefficients)) <= 1e-8
 
-    def test_custom_map_goes_through_verification(self):
-        with pytest.raises(ContractViolation):
-            conversion.TruncationSpec(
-                mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                scalar_map=lambda z: 1.5 * z,
-            )
-
-    def test_accepted_custom_map_is_used(self, frame_8x16, exact_up_8x16):
-        eta, _ = exact_up_8x16
-        cfg = conversion.ConversionConfig(
-            up=uncertainty.UPParams(eta=eta, delta=2 / 16),
-            truncation=conversion.TruncationSpec(
-                mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                scalar_map=conversion.default_scalar_map,
-            ),
-            iterations=2,
-        )
-        x = column_unit(frame_8x16, 0)
-        rep = conversion.kashin_encode(frame_8x16, x, cfg)
-        err = np.linalg.norm(x - conversion.kashin_decode(frame_8x16, rep))
-        assert err <= rep.residual_bound + 1e-12
-
 
 class TestTightnessDefectVariant:
     def test_per_pass_ratio_stays_under_adjusted_eta(self, eps_tight_frame):
@@ -671,24 +555,14 @@ def _reference_encode(f, x, cfg):
     eta_adj, mult, _ = conversion.adjusted_parameters(cfg)
     norm = linalg.norm2(v)
     M = mult * norm / math.sqrt(cfg.up.delta * f.N)
-    scalar_map = cfg.truncation.scalar_map
     residual, a, norms, counts = v.copy(), 0.0, [], []
     for _ in range(cfg.iterations):
         b = frames.analysis(f, residual)
-        if scalar_map is None:
-            mags = np.abs(b)
-            scale = np.ones_like(mags)
-            over = mags > M
-            scale[over] = M / mags[over]
-            b_hat = b * scale
-        else:
-            # the array contract: coefficients the map leaves alone keep b,
-            # and the map sees b/M divided part by part
-            u = b.real / M + 1j * (b.imag / M) if np.iscomplexobj(b) else b / M
-            t = np.asarray(scalar_map(u))
-            if not np.iscomplexobj(b):
-                t = linalg.real_if_exact(t)
-            b_hat = np.where(t != u, M * t, b)
+        mags = np.abs(b)
+        scale = np.ones_like(mags)
+        over = mags > M
+        scale[over] = M / mags[over]
+        b_hat = b * scale
         counts.append(int(np.count_nonzero(b_hat != b)))
         a = a + b_hat
         residual = residual - frames.synthesis(f, b_hat)
@@ -719,8 +593,6 @@ _PARSEVAL_FRAMES = {
 _TRUNCATIONS = {
     "hard": conversion.TruncationSpec(),
     "approximate": conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8),
-    "map": conversion.TruncationSpec(mode=conversion.APPROXIMATE, nu=0.1, tau=0.8,
-                                     scalar_map=conversion.default_scalar_map),
 }
 
 
@@ -758,26 +630,6 @@ class TestParsevalPasses:
             assert rep.clip_counts == tuple(counts)
             clipped += rep.clip_counts[0] > 0
         assert clipped >= 3  # every column input clips
-
-    @pytest.mark.parametrize("name", sorted(_PARSEVAL_FRAMES) + ["gaussian"])
-    @pytest.mark.parametrize("last", [False, True])
-    def test_default_map_matches_the_built_in_clip(self, name, last, eps_tight_frame):
-        if name == "gaussian":
-            f, eta, delta, iterations = eps_tight_frame, 0.45, 0.3, 8
-        else:
-            f, eta, delta, iterations = _PARSEVAL_FRAMES[name](), 0.9, 0.05, 20
-        reps = {}
-        for truncation in ("approximate", "map"):
-            cfg = conversion.ConversionConfig(
-                up=uncertainty.UPParams(eta=eta, delta=delta),
-                truncation=_TRUNCATIONS[truncation], iterations=iterations,
-                exact_last_iteration=last, frame_epsilon=f.tightness_eps)
-            reps[truncation] = [conversion.kashin_encode(f, x, cfg) for x in _inputs(f, 5)]
-        for built_in, mapped in zip(reps["approximate"], reps["map"]):
-            a = built_in.coefficients
-            assert mapped.clip_counts == built_in.clip_counts
-            assert np.linalg.norm(mapped.coefficients - a) <= 1e-12 * np.linalg.norm(a)
-        assert any(sum(rep.clip_counts) for rep in reps["map"])
 
     def test_gaussian_frames_keep_the_full_synthesis_bits(self, eps_tight_frame):
         inputs = unit_vectors(16, 2, 73, complex_valued=True) + unit_vectors(16, 2, 79)
@@ -933,10 +785,10 @@ class TestParsevalPasses:
         # residual the first pass leaves
         eta_adj, mult, _ = conversion.adjusted_parameters(cfg)
         b_hat_1, _ = conversion._truncate_block(
-            frames.analysis(f, x), mult / math.sqrt(0.2 * f.N), cfg.truncation)
+            frames.analysis(f, x), mult / math.sqrt(0.2 * f.N))
         b = frames.analysis(f, x - frames.synthesis(f, b_hat_1))
         M = eta_adj * mult / math.sqrt(0.2 * f.N)
-        e = b - conversion._truncate_block(b, M, cfg.truncation)[0]
+        e = b - conversion._truncate_block(b, M)[0]
         ue = np.linalg.norm(frames.synthesis(f, e))
         assert abs(rep.residual_norms[-1] - ue) <= 1e-14 * ue
         err = np.linalg.norm(x - frames.synthesis(f, rep.coefficients))

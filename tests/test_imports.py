@@ -28,8 +28,6 @@ PACKAGE = ROOT / "src" / "kashin"
 # each with the reason it stays
 UNCALLED = {
     "quantize.dequantize": "the `.kq` decoder will call it (ROADMAP item 5)",
-    "conversion.default_scalar_map": "the map form of the built-in clip, "
-                                     "which ROADMAP item 11 times against it",
 }
 
 
@@ -52,3 +50,33 @@ def test_every_public_function_has_a_caller():
     }
     uncalled = {name for name in public if name.split(".")[1] not in referenced}
     assert uncalled == set(UNCALLED)
+
+
+# fields with a default that no package, benchmark or acceptance code
+# passes by keyword, each with the reason it stays
+UNSET: dict[str, str] = {}
+
+
+def test_every_optional_field_has_a_caller():
+    optional = {
+        f"{node.name}.{item.target.id}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.value is not None
+    }
+    callers = [*PACKAGE.glob("*.py"),
+               *(path for path in (ROOT / "perfbench").glob("*.py")
+                 if path.name != "test_perfbench.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    passed = {
+        keyword.arg
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+    }
+    unset = {name for name in optional if name.split(".")[1] not in passed}
+    assert unset == set(UNSET)
