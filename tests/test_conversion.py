@@ -424,6 +424,61 @@ class TestApproximateClipVariant:
         soft = conversion.kashin_encode(frame_8x16, x, soft_cfg)
         assert np.max(np.abs(soft.coefficients - hard.coefficients)) <= 1e-8
 
+    @pytest.mark.parametrize("M", [1e-200, 0.3, 1e200])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_built_in_clip_meets_the_contract_with_nu_zero(self, M, complex_valued):
+        # approximate mode certifies M * t(b/M) for any t with |t| <= 1,
+        # |z - t(z)| <= nu*|z| inside tau and |z - t(z)| <= |z| everywhere;
+        # the radial clip it runs keeps every |b| <= M bit for bit, so it
+        # meets the contract with nu = 0 for every tau < 1
+        g = linalg.rng_from_seed(37)
+        mags = np.concatenate([np.linspace(0.0, 4.0, 2001), g.exponential(2.0, 2000)])
+        if complex_valued:
+            b = M * mags * np.exp(2j * np.pi * g.random(mags.size))
+        else:
+            b = M * mags * g.choice((-1.0, 1.0), mags.size)
+        clipped, over = conversion._truncate_block(b, M)
+        assert clipped.dtype == b.dtype
+        assert np.array_equal(over, np.flatnonzero(np.abs(b) > M))
+        inside = np.abs(b) <= M
+        assert np.array_equal(clipped[inside], b[inside])
+        assert np.all(np.abs(clipped) <= M * (1 + 1e-15))
+        assert np.all(np.abs(b - clipped) <= np.abs(b))
+        assert over.size > 1000
+
+    # clipping fires on a column input only while the first level,
+    # sqrt(8)/(4*tau), stays under the largest column norm, 0.883
+    @pytest.mark.parametrize("nu,tau", [(0.05, 0.95), (0.1, 0.9), (0.2, 0.85), (0.25, 0.95)])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_certificates_hold_across_parameters(self, frame_8x16, exact_up_8x16,
+                                                 nu, tau, last):
+        eta, _ = exact_up_8x16
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=eta, delta=2 / 16),
+            truncation=conversion.TruncationSpec(
+                mode=conversion.APPROXIMATE, nu=nu, tau=tau
+            ),
+            iterations=5,
+            exact_last_iteration=last,
+        )
+        eta_adj, _, level = conversion.adjusted_parameters(cfg)
+        assert eta_adj == pytest.approx(math.sqrt(eta**2 + nu**2), abs=1e-12)
+        inputs = unit_vectors(8, 10, 83, complex_valued=True)
+        inputs += [column_unit(frame_8x16, j) for j in range(16)]
+        clipped = 0
+        for x in inputs:
+            rep = conversion.kashin_encode(frame_8x16, x, cfg)
+            assert rep.level_K == pytest.approx(level, abs=1e-12)
+            prev = 1.0
+            for rn in rep.residual_norms:
+                assert rn <= eta_adj * prev + 1e-12
+                prev = rn
+            assert np.max(np.abs(rep.coefficients)) <= level / 4.0 * (1 + 1e-9)
+            err = np.linalg.norm(x - conversion.kashin_decode(frame_8x16, rep))
+            assert err <= rep.residual_bound + 1e-12
+            clipped += sum(rep.clip_counts)
+        assert clipped > 0
+
 
 class TestTightnessDefectVariant:
     def test_per_pass_ratio_stays_under_adjusted_eta(self, eps_tight_frame):
