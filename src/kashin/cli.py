@@ -70,8 +70,7 @@ def _encode_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eta", required=True, type=float)
     p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--accuracy", type=float)
+    p.add_argument("--iters", required=True, type=int)
     p.add_argument("--exact-last", action="store_true")
     p.add_argument("--approx-trunc", metavar="NU,TAU",
                    help="certify the clip against approximate-truncation "
@@ -234,15 +233,12 @@ def _check_flags(args) -> None:
                 )
 
 
-def _conversion_config(frame, eta, delta, iters, accuracy, exact_last,
+def _conversion_config(frame, eta, delta, iters, exact_last,
                        trunc_flag) -> conversion.ConversionConfig:
-    if (iters is None) == (accuracy is None):
-        raise _UsageError("give exactly one of --iters and --accuracy")
     return conversion.ConversionConfig(
         up=uncertainty.UPParams(eta=eta, delta=delta),
         truncation=_truncation_from_flag(trunc_flag),
         iterations=iters,
-        target_accuracy=accuracy,
         exact_last_iteration=exact_last,
         frame_epsilon=frame.tightness_eps + 1e-12,
     )
@@ -252,8 +248,8 @@ def _cmd_encode(args) -> int:
     frame = formats.read_frame(args.frame)
     x = formats.read_vector(args.infile, args.format)
     cfg = _conversion_config(
-        frame, args.eta, args.delta, args.iters, args.accuracy,
-        args.exact_last, args.approx_trunc,
+        frame, args.eta, args.delta, args.iters, args.exact_last,
+        args.approx_trunc,
     )
     rep = conversion.kashin_encode(frame, x, cfg)
     formats.write_representation(args.out, rep)
@@ -301,7 +297,7 @@ def _cmd_simulate(args) -> int:
     x = formats.read_vector(args.infile, args.format)
     tag = _MODEL_FLAGS[args.model]
     cfg = _conversion_config(
-        frame, args.eta, args.delta, args.iters, None, False, None
+        frame, args.eta, args.delta, args.iters, False, None
     )
     rep = conversion.kashin_encode(frame, x, cfg)
     spec = quantize.QuantizerSpec.from_representation(rep, args.levels)

@@ -80,32 +80,22 @@ class TruncationSpec:
 class ConversionConfig:
     """Parameters of one conversion run.
 
-    Exactly one of ``iterations`` (explicit pass count) and
-    ``target_accuracy`` (residual factor to reach, converted to a pass
-    count) must be given.  ``frame_epsilon`` is the tightness defect the
-    run is certified against; it must dominate the frame's measured
-    defect.  ``exact_last_iteration`` appends one unclipped completion
-    pass, trading level for an exact expansion.
+    ``iterations`` is the pass count, at least 1; the residual bound
+    decays like eta'^iterations.  ``frame_epsilon`` is the tightness
+    defect the run is certified against; it must dominate the frame's
+    measured defect.  ``exact_last_iteration`` appends one unclipped
+    completion pass, trading level for an exact expansion.
     """
 
     up: UPParams
     truncation: TruncationSpec
-    iterations: int | None = None
-    target_accuracy: float | None = None
+    iterations: int
     exact_last_iteration: bool = False
     frame_epsilon: float = 0.0
 
     def __post_init__(self):
-        if (self.iterations is None) == (self.target_accuracy is None):
-            raise InvalidConfig(
-                "exactly one of iterations and target_accuracy must be set"
-            )
-        if self.iterations is not None and self.iterations < 1:
+        if self.iterations < 1:
             raise InvalidConfig(f"iterations must be >= 1, got {self.iterations}")
-        if self.target_accuracy is not None and not 0.0 < self.target_accuracy < 1.0:
-            raise InvalidConfig(
-                f"target_accuracy must lie in (0, 1), got {self.target_accuracy}"
-            )
         if not (math.isfinite(self.frame_epsilon) and self.frame_epsilon >= 0.0):
             raise InvalidConfig(
                 f"frame_epsilon must be finite and >= 0, got {self.frame_epsilon}"
@@ -218,31 +208,6 @@ def adjusted_parameters(cfg: ConversionConfig) -> tuple[float, float, float]:
     return eta, mult, mult / ((1.0 - eta) * math.sqrt(cfg.up.delta))
 
 
-def _zero_representation(N: int, level: float, dtype) -> KashinRepresentation:
-    return KashinRepresentation(
-        coefficients=np.zeros(N, dtype=dtype),
-        level_K=level,
-        input_norm=0.0,
-        residual_bound=0.0,
-        iterations_used=0,
-    )
-
-
-def _accumulate(a: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """``a + b``, added in place when ``a`` can hold the sum.
-
-    ``a`` is None before the first pass, and the sum starts from zeros of
-    ``b``'s dtype, so coefficients stay float64 until a pass adds complex
-    ones.
-    """
-    if a is None:
-        a = np.zeros(b.shape, dtype=b.dtype)
-    elif np.iscomplexobj(b) and not np.iscomplexobj(a):
-        return a + b
-    a += b
-    return a
-
-
 def kashin_encode(
     f: frames.FrameMatrix, x, cfg: ConversionConfig
 ) -> KashinRepresentation:
@@ -250,15 +215,14 @@ def kashin_encode(
     ``f``.
 
     Runs the clip-and-subtract iteration with the variant-adjusted
-    (eta', M multiplier, K') from :func:`adjusted_parameters`.  The pass
-    count is ``cfg.iterations``, or derived from ``target_accuracy`` as
-    the smallest r with eta'^r below it; the loop also stops early once
-    the residual is negligible.  With ``exact_last_iteration`` one extra
-    unclipped pass zeroes the residual (up to the frame's tightness
-    defect), and both the certified level and residual bound account for
-    it.  A real (float64) frame keeps real data real: the coefficients are
-    float64 unless the data has a nonzero imaginary part; a complex frame
-    works in complex arithmetic throughout.  Every pass clips with the
+    (eta', M multiplier, K') from :func:`adjusted_parameters`.  It runs
+    ``cfg.iterations`` passes, and stops early once the residual is
+    negligible.  With ``exact_last_iteration`` one extra unclipped pass
+    zeroes the residual (up to the frame's tightness defect), and both the
+    certified level and residual bound account for it.  A real (float64)
+    frame keeps real data real: the coefficients are float64 unless the
+    data has a nonzero imaginary part; a complex frame works in complex
+    arithmetic throughout.  Every pass clips with the
     built-in radial clip.  An approximate :class:`TruncationSpec` changes
     only eta' and the level, which are then certified for any clip that
     obeys its (nu, tau) contract; the general form of that theorem is
@@ -271,13 +235,15 @@ def kashin_encode(
     (``np.finfo(np.float64).tiny``), where the bounds' margins underflow.
 
     The loop has one pass body.  Every frame carries ``b = U* r``, the
-    analysis coefficients of the residual r, from ``b_1 = U* x``.  Pass k
-    clips ``b_k`` once and adds ``clip(b_k)`` to the coefficients.  A
-    frame that is not Parseval then subtracts ``U clip(b_k)`` from r and
-    analyzes the new r when another pass or the completion needs it.  On
-    a Parseval frame (measured defect at most 1e-12) the pass carries
-    ``b_{k+1} = G e_k`` for the clipped excess ``e_k = b_k - clip(b_k)``
-    and ``G = U* U``: the analysis coefficients of the modeled residual
+    analysis coefficients of the residual r, from ``b_1 = U* x``.  The
+    coefficients start as zeros of ``b_1``'s dtype, which a zero input
+    returns; every later b has that dtype.  Pass k clips ``b_k`` once and
+    adds ``clip(b_k)`` to the coefficients in place.  A frame that is not
+    Parseval then subtracts ``U clip(b_k)`` from r and analyzes the new r
+    when another pass or the completion needs it.  On a Parseval frame
+    (measured defect at most 1e-12) the pass carries ``b_{k+1} = G e_k``
+    for the clipped excess ``e_k = b_k - clip(b_k)`` and ``G = U* U``:
+    the analysis coefficients of the modeled residual
     ``U e_k``, whose norm ``sqrt(Re <e_k, G e_k>)`` is summed over the
     clipped support ``S_k`` alone and scaled so that no finite input
     overflows or underflows.  :class:`frames.GramStep` computes both on
@@ -313,38 +279,31 @@ def kashin_encode(
     norm = linalg.norm2(v)
     if not math.isfinite(norm):
         raise InvalidParams("input norm exceeds the float64 range")
-    if norm == 0.0:
-        # zero coefficients of the dtype the frame gives this input
-        return _zero_representation(f.N, level, frames.analysis(f, v).dtype)
-    if norm < np.finfo(np.float64).tiny:
+    if 0.0 < norm < np.finfo(np.float64).tiny:
         raise InvalidParams("input norm lies below the normal float64 range")
-    if cfg.iterations is not None:
-        r = cfg.iterations
-    else:
-        r = max(
-            1,
-            math.ceil(
-                math.log(cfg.target_accuracy) / math.log(eta_adj) - 1e-12
-            ),
+    # the analysis coefficients of the residual the next pass clips, None
+    # once there is no residual left to carry
+    b = frames.analysis(f, v)
+    a = np.zeros_like(b)
+    if norm == 0.0:
+        return KashinRepresentation(
+            coefficients=a, level_K=level, input_norm=0.0,
+            residual_bound=0.0, iterations_used=0,
         )
 
     M = mult * norm / math.sqrt(cfg.up.delta * f.N)
     parseval = f.tightness_eps <= _PARSEVAL_EPS
-    # the residual x - U a, kept on frames that are not Parseval, and the
-    # analysis coefficients of the residual the next pass clips, None once
-    # there is no residual left to carry
+    # the residual x - U a, kept on frames that are not Parseval
     gram, residual = frames.GramStep(f), v
-    b = frames.analysis(f, v)
-    a = None
     prev = norm
     norms: list[float] = []
     clip_counts: list[int] = []
     entering_sum = 0.0
-    for k in range(1, r + 1):
+    for k in range(1, cfg.iterations + 1):
         entering_sum += prev
         b_hat, clipped = _truncate_block(b, M)
         clip_counts.append(clipped.size)
-        a = _accumulate(a, b_hat)
+        a += b_hat
         if not parseval:
             residual = residual - frames.synthesis(f, b_hat)
             rn = linalg.norm2(residual)
@@ -361,7 +320,7 @@ def kashin_encode(
             )
         prev = rn
         M *= eta_adj
-        last = k == r or rn <= _EARLY_STOP * norm
+        last = k == cfg.iterations or rn <= _EARLY_STOP * norm
         if not parseval:
             # analyzed only for a pass or a completion that clips or adds it
             needed = not last or (cfg.exact_last_iteration and rn > 0.0)
@@ -379,7 +338,7 @@ def kashin_encode(
         entering_sum += prev
         rn = 0.0
         if b is not None:
-            a = _accumulate(a, b)
+            a += b
             if not parseval:
                 residual = residual - frames.synthesis(f, b)
                 rn = linalg.norm2(residual)

@@ -112,11 +112,12 @@ class QuantizerSpec:
 
 def has_imaginary_mass(a, input_norm: float) -> bool:
     """Whether coefficients need complex mode: ``max|Im a|`` exceeds
-    ``1e-12 * max(input_norm, 1)``, so a real-mode quantizer would drop
-    more than rounding noise."""
+    ``1e-12 * input_norm``, so a real-mode quantizer would drop more than
+    rounding noise.  The threshold is relative, so the rule decides alike
+    at every input norm."""
     if not np.iscomplexobj(a):
         return False
-    return bool(np.abs(np.imag(a)).max() > 1e-12 * max(input_norm, 1.0))
+    return bool(np.abs(np.imag(a)).max() > 1e-12 * input_norm)
 
 
 def _midpoints(cells: np.ndarray, spec: QuantizerSpec) -> np.ndarray:

@@ -8,7 +8,8 @@ The bounds must also mean something: at unit norm and L <= 4 the worst
 quantize-only and baseline errors reach at least half their bounds.  And
 the checks that judge them are relative, so at input norms 1e-100 and
 1e-300 a report over its bound, a sweep row over its bound and a
-``.kcof`` over its level are refused.
+``.kcof`` over its level are refused, and complex coefficients keep
+their complex quantizer.
 """
 
 import dataclasses
@@ -261,3 +262,23 @@ def test_certificates_at_tiny_norms_are_accepted(tmp_path, name, scale):
             for model, report in zip(
                     models, quantize.distortion_trials(frame, x, rep, spec, models)):
                 assert report.bound_satisfied, model
+
+
+@pytest.mark.parametrize("name", ["orthogonal", "fourier"])
+@pytest.mark.parametrize("scale", (1e-13,) + TINY)
+def test_complex_mode_is_picked_at_every_norm(name, scale):
+    """The imaginary-mass rule is relative: a complex input far below norm
+    1 is quantized in complex mode, with the error it has at norm 1."""
+    frame, cfg = _case(name)
+    only = [quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY)]
+
+    def relative_error(norm: float) -> float:
+        x = _input(frame, 2, True, norm)
+        rep = conversion.kashin_encode(frame, x, cfg)
+        spec = quantize.QuantizerSpec.from_representation(rep, 64)
+        assert spec.complex_mode
+        report = quantize.distortion_trials(frame, x, rep, spec, only)[0]
+        assert report.bound_satisfied
+        return report.l2_error / norm
+
+    assert relative_error(scale) <= 1.5 * relative_error(1.0)

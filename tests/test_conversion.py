@@ -160,17 +160,9 @@ class TestAdjustedParameters:
 
 
 class TestConfigValidation:
-    def test_exactly_one_stopping_rule(self):
-        with pytest.raises(InvalidConfig):
-            _exact_cfg(0.5, 0.25)
-        with pytest.raises(InvalidConfig):
-            _exact_cfg(0.5, 0.25, iterations=3, target_accuracy=0.5)
-
     def test_field_domains(self):
         with pytest.raises(InvalidConfig):
             _exact_cfg(0.5, 0.25, iterations=0)
-        with pytest.raises(InvalidConfig):
-            _exact_cfg(0.5, 0.25, target_accuracy=1.0)
         with pytest.raises(InvalidConfig):
             _exact_cfg(0.5, 0.25, iterations=1, frame_epsilon=-0.1)
 
@@ -491,24 +483,6 @@ class TestTightnessDefectVariant:
             for rn in rep.residual_norms:
                 assert rn <= (eta_adj + 1e-6) * prev
                 prev = rn
-
-    def test_accuracy_stopping_rule_counts_passes(self, eps_tight_frame):
-        eps = eps_tight_frame.tightness_eps
-        probe = _exact_cfg(0.45, 0.05, iterations=1, frame_epsilon=eps)
-        eta_adj, _, _ = conversion.adjusted_parameters(probe)
-        x = unit_vectors(16, 1, 5, complex_valued=True)[0]
-
-        cfg = _exact_cfg(0.45, 0.05, target_accuracy=0.3, frame_epsilon=eps)
-        rep = conversion.kashin_encode(eps_tight_frame, x, cfg)
-        want = max(1, math.ceil(math.log(0.3) / math.log(eta_adj) - 1e-12))
-        assert rep.iterations_used == want
-
-        # a target hit exactly at a power of the contraction factor must
-        # not round up to an extra pass
-        tie = _exact_cfg(0.45, 0.05, target_accuracy=eta_adj * eta_adj,
-                         frame_epsilon=eps)
-        rep2 = conversion.kashin_encode(eps_tight_frame, x, tie)
-        assert rep2.iterations_used == 2
 
     def test_certificate_still_valid_off_tightness(self, eps_tight_frame):
         cfg = _exact_cfg(0.45, 0.05, iterations=8,
