@@ -80,11 +80,12 @@ class TruncationSpec:
 class ConversionConfig:
     """Parameters of one conversion run.
 
-    ``iterations`` is the pass count, at least 1; the residual bound
-    decays like eta'^iterations.  ``frame_epsilon`` is the tightness
-    defect the run is certified against; it must dominate the frame's
-    measured defect.  ``exact_last_iteration`` appends one unclipped
-    completion pass, trading level for an exact expansion.
+    ``iterations`` is the pass count, a whole number of at least 1
+    (stored as an int); the residual bound decays like eta'^iterations.
+    ``frame_epsilon`` is the tightness defect the run is certified
+    against; it must dominate the frame's measured defect.
+    ``exact_last_iteration`` appends one unclipped completion pass,
+    trading level for an exact expansion.
     """
 
     up: UPParams
@@ -94,8 +95,8 @@ class ConversionConfig:
     frame_epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidConfig(f"iterations must be >= 1, got {self.iterations}")
+        object.__setattr__(self, "iterations", linalg.count(
+            self.iterations, "iterations", 1, InvalidConfig))
         if not (math.isfinite(self.frame_epsilon) and self.frame_epsilon >= 0.0):
             raise InvalidConfig(
                 f"frame_epsilon must be finite and >= 0, got {self.frame_epsilon}"

@@ -76,8 +76,9 @@ def read_frame(path) -> frames.FrameMatrix:
     (complex) payload whose imaginary part is exactly zero becomes a
     float64 frame, as every real matrix does (see
     :class:`frames.FrameMatrix`), which also refuses row indices that are
-    unsorted, repeated or out of range and a matrix with a NaN or infinite
-    entry; its errors surface as :class:`FormatError`.  The format does
+    unsorted, repeated or out of range, a partial Fourier N above
+    ``frames.FOURIER_MAX_N`` and a matrix with a NaN or infinite entry;
+    its errors surface as :class:`FormatError`.  The format does
     not carry the tightness defect; the frame measures it on first read of
     ``tightness_eps``.
     """
@@ -112,7 +113,9 @@ def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:
     ``dtype`` and ``shape`` and returned in native byte order (a copy only
     on big-endian hosts); the array is allocated only once ``size`` is
     what the shape needs, so a corrupt header cannot ask for more memory
-    than the file holds."""
+    than the file holds.  A partial Fourier frame's operators take O(N)
+    memory for an N its n indices do not bound; the frame's cap on N
+    bounds that."""
     expected = np.dtype(dtype).itemsize * math.prod(shape)
     if size != expected:
         raise FormatError(f"{what} payload holds {size} bytes; expected {expected}")

@@ -38,6 +38,10 @@ EXACT_N = "exact-n"
 
 # materialization cap for implicit frames (entries, ~64 MB of complex128)
 _DENSE_CAP = 1 << 22
+# largest N of a partial Fourier frame.  Its n row indices do not bound N,
+# and an encode takes about 105 bytes per index of N (measured at N = 2^18
+# and 2^20), so 1.8 GB at the cap
+FOURIER_MAX_N = 1 << 24
 
 # Gershgorin radius of U U* - I up to which measure_tightness returns its
 # upper bound instead of solving for the eigenvalues; the same slack
@@ -69,8 +73,10 @@ class FrameMatrix:
     float64 (see :func:`linalg.real_if_exact`), so real frames read and
     multiply half the bytes of complex storage.
 
-    A dense matrix with a NaN or infinite entry raises
-    :class:`InvalidParams`.
+    A dense matrix is taken as float64 or complex128 (see
+    :func:`linalg.float_or_complex`); one with a NaN or infinite entry
+    raises :class:`InvalidParams`.  Row indices must have an integer
+    dtype, and a partial Fourier frame has N <= ``FOURIER_MAX_N`` = 2^24.
 
     ``tightness_eps`` is the deviation of the frame operator's singular
     values from 1, measured by :func:`measure_tightness` on first read and
@@ -86,19 +92,26 @@ class FrameMatrix:
     omega: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= self.N:
-            raise InvalidParams(f"need 1 <= n <= N, got n={self.n} N={self.N}")
+        n, N = linalg.count(self.n, "n", 1), linalg.count(self.N, "N", 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        if not n <= N:
+            raise InvalidParams(f"need 1 <= n <= N, got n={n} N={N}")
         if self.kind == DENSE:
-            if self.matrix is None or self.matrix.shape != (self.n, self.N):
+            u = linalg.float_or_complex(self.matrix)
+            if u.shape != (n, N):
                 raise InvalidParams("dense frame needs an (n, N) coefficient matrix")
-            object.__setattr__(self, "matrix", linalg.real_if_exact(self.matrix))
+            object.__setattr__(self, "matrix", linalg.real_if_exact(u))
             if not _finite(self.matrix):
                 raise InvalidParams("frame matrix has a NaN or infinite entry")
         elif self.kind == PARTIAL_FOURIER:
-            om = self.omega
-            if om is None or om.shape != (self.n,):
-                raise InvalidParams("partial Fourier frame needs exactly n row indices")
-            if om.size and (om[0] < 0 or om[-1] >= self.N or np.any(np.diff(om) <= 0)):
+            _check_fourier_size(N)
+            om = np.asarray(self.omega)
+            if om.dtype.kind not in "iu" or om.shape != (n,):
+                raise InvalidParams("partial Fourier frame needs exactly n integer row indices")
+            om = om.astype(np.int64, copy=False)
+            object.__setattr__(self, "omega", om)
+            if om[0] < 0 or om[-1] >= N or np.any(np.diff(om) <= 0):
                 raise InvalidParams("row indices must be sorted, distinct, and in [0, N)")
         else:
             raise InvalidParams(f"unknown frame kind {self.kind!r}")
@@ -122,6 +135,11 @@ class FrameFamily:
             raise InvalidParams(f"unknown family tag {self.tag!r}")
         if not 1 <= self.n <= self.N:
             raise InvalidParams(f"need 1 <= n <= N, got n={self.n} N={self.N}")
+
+
+def _check_fourier_size(N: int) -> None:
+    if N > FOURIER_MAX_N:
+        raise InvalidParams(f"partial Fourier frames need N <= 2^24, got N={N}")
 
 
 def _finite(m: np.ndarray) -> bool:
@@ -221,9 +239,12 @@ def gen_partial_fourier(
     n/N, so the realized row count is random (an empty draw raises
     :class:`EmptySelection`).  ``exact-n`` draws a uniform random subset of
     exactly n rows.  Either way the resulting rows are exactly orthonormal.
+    N above ``FOURIER_MAX_N`` raises :class:`InvalidParams` before the draw.
     """
-    if not 1 <= n <= N:
+    n, N = linalg.count(n, "n", 1), linalg.count(N, "N", 1)
+    if not n <= N:
         raise InvalidParams(f"need 1 <= n <= N, got n={n} N={N}")
+    _check_fourier_size(N)
     g = linalg.rng_from_seed(seed)
     if mode == BERNOULLI_SELECTORS:
         keep = g.random(N) < n / N

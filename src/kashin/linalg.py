@@ -31,17 +31,34 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _float_or_complex(x) -> np.ndarray:
+def count(value, name: str, minimum: int, error=InvalidParams) -> int:
+    """``value`` as an int, when it is a whole number of at least
+    ``minimum``: 3 and 3.0 give 3.  Anything else, 2.5, NaN, infinity or a
+    string among them, raises ``error``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < minimum:
+        raise error(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return whole
+
+
+def float_or_complex(x) -> np.ndarray:
     """``x`` as a float64 array when its entries are real (bool, integer or
-    floating), as a complex128 array otherwise."""
+    floating), as a complex128 array otherwise; no copy when it already is
+    one.  Entries that are not numbers raise :class:`InvalidParams`."""
     a = np.asarray(x)
-    return np.asarray(a, dtype=np.float64 if a.dtype.kind in "biuf" else np.complex128)
+    try:
+        return np.asarray(a, dtype=np.float64 if a.dtype.kind in "biuf" else np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"entries must be numbers: {exc}") from None
 
 
 def as_vector(x) -> np.ndarray:
     """Coerce ``x`` to a nonempty, finite 1-d array, float64 for real
     input and complex128 otherwise."""
-    v = _float_or_complex(x)
+    v = float_or_complex(x)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionMismatch(f"expected a nonempty 1-d vector, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -52,7 +69,7 @@ def as_vector(x) -> np.ndarray:
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a nonempty, finite 2-d array, float64 for real
     input and complex128 otherwise."""
-    a = _float_or_complex(m)
+    a = float_or_complex(m)
     if a.ndim != 2 or min(a.shape) < 1:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -122,23 +139,22 @@ def qr_orthonormalize_rows(m) -> np.ndarray:
     return (q * phase).conj().T
 
 
-def _check_sample_shape(rows: int, cols: int) -> None:
-    if rows < 1 or cols < 1:
-        raise InvalidParams(f"sample shape must be positive, got {rows}x{cols}")
+def _sample_shape(rows: int, cols: int) -> tuple[int, int]:
+    return count(rows, "rows", 1), count(cols, "columns", 1)
 
 
 def sample_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     """float64 matrix of iid N(0, 1) entries."""
-    _check_sample_shape(rows, cols)
+    shape = _sample_shape(rows, cols)
     g = rng_from_seed(seed)
-    return g.standard_normal((rows, cols))
+    return g.standard_normal(shape)
 
 
 def sample_bernoulli(rows: int, cols: int, seed: int) -> np.ndarray:
     """float64 matrix of iid symmetric +/-1 entries."""
-    _check_sample_shape(rows, cols)
+    shape = _sample_shape(rows, cols)
     g = rng_from_seed(seed)
-    signs = g.integers(0, 2, size=(rows, cols)).astype(np.float64)
+    signs = g.integers(0, 2, size=shape).astype(np.float64)
     return 2.0 * signs - 1.0
 
 

@@ -60,8 +60,7 @@ class QuantizerSpec:
     complex_mode: bool = False
 
     def __post_init__(self):
-        if self.levels_L < 2:
-            raise InvalidParams(f"need at least 2 levels, got {self.levels_L}")
+        object.__setattr__(self, "levels_L", linalg.count(self.levels_L, "levels_L", 2))
         if not (math.isfinite(self.range_half_width) and self.range_half_width > 0.0):
             raise InvalidParams(
                 f"range half-width must be positive, got {self.range_half_width}"
@@ -208,8 +207,7 @@ class ErrorModel:
             raise InvalidParams(
                 f"damage_fraction must lie in [0, 1), got {self.damage_fraction}"
             )
-        if self.flip_count < 0:
-            raise InvalidParams(f"flip_count must be >= 0, got {self.flip_count}")
+        object.__setattr__(self, "flip_count", linalg.count(self.flip_count, "flip_count", 0))
 
 
 def _damage_indices(g, N: int, fraction: float) -> np.ndarray:

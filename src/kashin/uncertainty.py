@@ -75,8 +75,6 @@ def support_width(delta: float, N: int) -> int:
     """
     if not 0.0 < delta < 1.0:
         raise InvalidParams(f"delta must lie in (0, 1), got {delta}")
-    if N < 1:
-        raise InvalidParams(f"N must be positive, got {N}")
     width = int(math.floor(delta * N + 1e-9))
     if width < 1:
         raise InvalidParams(f"support width floor({delta}*{N}) < 1")
@@ -155,8 +153,7 @@ def up_estimate(
     eigen-solve each, so the value is the exact worst case over the drawn
     supports and a lower bound on the answer of :func:`up_check_exact`.
     """
-    if trials < 1:
-        raise InvalidParams(f"trials must be positive, got {trials}")
+    trials = linalg.count(trials, "trials", 1)
     k = support_width(delta, frame.N)
     g = linalg.rng_from_seed(seed)
     chunk = _chunk(frame, k)

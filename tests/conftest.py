@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kashin import frames, linalg, uncertainty
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +52,13 @@ def column_unit(frame, index):
     actually triggers coefficient clipping."""
     u = frames.dense(frame)[:, index]
     return u / np.linalg.norm(u)
+
+
+def run_with_memory_cap(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter whose address space is capped at
+    2 GiB, so that a call which asks for more memory fails there, and
+    never in the test process."""
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", cap + code], env=env,
+                          capture_output=True, text=True, timeout=120)

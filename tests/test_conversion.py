@@ -159,12 +159,34 @@ class TestAdjustedParameters:
             conversion.adjusted_parameters(cfg)
 
 
+class TestInputTypes:
+    @pytest.mark.parametrize("x", [np.array(["a"] * 8), [1.0] * 7 + [object()]])
+    def test_non_numeric_input_is_refused(self, frame_8x16, x):
+        cfg = _exact_cfg(0.9, 2 / 16, iterations=3)
+        with pytest.raises(InvalidParams, match="must be numbers"):
+            conversion.kashin_encode(frame_8x16, x, cfg)
+
+
 class TestConfigValidation:
     def test_field_domains(self):
         with pytest.raises(InvalidConfig):
             _exact_cfg(0.5, 0.25, iterations=0)
         with pytest.raises(InvalidConfig):
             _exact_cfg(0.5, 0.25, iterations=1, frame_epsilon=-0.1)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3", None])
+    def test_iterations_must_be_a_whole_number(self, bad):
+        with pytest.raises(InvalidConfig, match="whole number"):
+            _exact_cfg(0.5, 0.25, iterations=bad)
+
+    def test_a_whole_float_pass_count_encodes_as_its_int(self, frame_8x16):
+        as_float = _exact_cfg(0.9, 2 / 16, iterations=3.0)
+        assert type(as_float.iterations) is int
+        x = column_unit(frame_8x16, 5)
+        got = conversion.kashin_encode(frame_8x16, x, as_float)
+        want = conversion.kashin_encode(frame_8x16, x, _exact_cfg(0.9, 2 / 16, iterations=3))
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert got.residual_bound == want.residual_bound
 
     def test_truncation_spec_domains(self):
         with pytest.raises(InvalidParams):

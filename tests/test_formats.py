@@ -10,6 +10,8 @@ import pytest
 from kashin import cli, conversion, formats, frames, linalg, uncertainty
 from kashin.errors import FormatError, InvalidParams
 
+from conftest import run_with_memory_cap
+
 
 def _sample_rep(frame_8x16):
     cfg = conversion.ConversionConfig(
@@ -134,6 +136,46 @@ class TestFrameFiles:
         payload = np.array([3, 8], dtype="<u4").tobytes()  # out of range
         with pytest.raises(FormatError):
             _read_blob(tmp_path, header + payload)
+
+
+class TestOversizedFourierFiles:
+    """A partial Fourier file stores n indices, not N, so 19 bytes can
+    declare N = 2^31; N above the cap of 2^24 is a malformed file."""
+
+    REFUSAL = "partial Fourier frames need N <= 2^24, got N=2147483648"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "huge.kfrm"
+        header = struct.pack("<4sHBII", b"KFRM", 1, 1, 1, 1 << 31)
+        path.write_bytes(header + np.array([7], dtype="<u4").tobytes())
+        assert path.stat().st_size == 19
+        return path
+
+    def test_read_frame_refuses_it(self, path):
+        with pytest.raises(FormatError, match=r"N <= 2\^24"):
+            formats.read_frame(path)
+
+    def test_info_exits_one(self, path, capsys):
+        assert cli.run(["info", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {self.REFUSAL}\n"
+
+    @pytest.mark.parametrize("command", ["encode", "up-check"])
+    def test_commands_exit_one_before_allocating(self, path, tmp_path, command):
+        vec = tmp_path / "x.vec"
+        formats.write_vector(vec, np.array([1.0]))
+        argv = {
+            "encode": ["encode", str(path), "--in", str(vec), "--eta", "0.9",
+                       "--delta", "0.05", "--iters", "3",
+                       "--out", str(tmp_path / "a.kcof")],
+            "up-check": ["up-check", str(path), "--delta", "0.05", "--trials", "2"],
+        }[command]
+        done = run_with_memory_cap(
+            f"import sys\nfrom kashin import cli\nsys.exit(cli.run({argv!r}))\n")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {self.REFUSAL}\n"
 
 
 class TestNonFiniteFrameFiles:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kashin import conversion, formats, frames, linalg, quantize, uncertainty
 from kashin.errors import DimensionMismatch, EmptySelection, InvalidConfig, InvalidParams
 
-from conftest import unit_vectors
+from conftest import run_with_memory_cap, unit_vectors
 
 
 def _svd_eps(u):
@@ -388,6 +388,79 @@ class TestValidation:
             frames.generate(fam).omega,
             frames.gen_partial_fourier(8, 4, 2, mode=frames.EXACT_N).omega,
         )
+
+
+class TestInputContract:
+    """Inputs of the wrong type or size raise a KashinError, not a raw
+    Python or numpy error, and never allocate by N."""
+
+    def test_fourier_n_above_the_cap_is_refused(self):
+        # one index declares N = 2^31; the constructor allocates nothing by N
+        with pytest.raises(InvalidParams, match=r"N <= 2\^24"):
+            frames.FrameMatrix(n=1, N=2**31, kind=frames.PARTIAL_FOURIER,
+                               omega=np.array([0]))
+        f = frames.FrameMatrix(n=1, N=frames.FOURIER_MAX_N,
+                               kind=frames.PARTIAL_FOURIER, omega=np.array([3]))
+        assert f.N == 1 << 24
+
+    @pytest.mark.parametrize("mode", [frames.EXACT_N, frames.BERNOULLI_SELECTORS])
+    def test_generator_refuses_n_above_the_cap_before_the_draw(self, mode):
+        done = run_with_memory_cap(
+            "from kashin import frames\n"
+            "from kashin.errors import InvalidParams\n"
+            "try:\n"
+            f"    frames.gen_partial_fourier(2**31, 1, 0, mode={mode!r})\n"
+            "except InvalidParams as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("refused: partial Fourier frames need N <= 2^24")
+
+    def test_dense_matrix_is_coerced(self):
+        ints = [[1, 0, 0], [0, 1, 0]]
+        for given in (ints, np.array(ints), np.array(ints, dtype=bool)):
+            f = frames.FrameMatrix(n=2, N=3, kind=frames.DENSE, matrix=given)
+            assert f.matrix.dtype == np.float64
+            assert f.tightness_eps == 0.0
+        u = frames.gen_random_orthogonal(4, 8, 1).matrix
+        assert frames.FrameMatrix(n=4, N=8, kind=frames.DENSE, matrix=u).matrix is u
+
+    @pytest.mark.parametrize("matrix", [[["a", "b"]], np.array([[None, 1]]), None])
+    def test_non_numeric_matrix_is_refused(self, matrix):
+        with pytest.raises(InvalidParams):
+            frames.FrameMatrix(n=1, N=2, kind=frames.DENSE, matrix=matrix)
+
+    @pytest.mark.parametrize("omega", [np.array([1.0, 3.0]), np.array([True, False]),
+                                       ["1", "3"], None])
+    def test_row_indices_need_an_integer_dtype(self, omega):
+        with pytest.raises(InvalidParams, match="integer row indices"):
+            frames.FrameMatrix(n=2, N=8, kind=frames.PARTIAL_FOURIER, omega=omega)
+
+    @pytest.mark.parametrize("omega", [[1, 3], np.array([1, 3], dtype=np.uint64)])
+    def test_integer_row_indices_are_stored_as_int64(self, omega):
+        f = frames.FrameMatrix(n=2, N=8, kind=frames.PARTIAL_FOURIER, omega=omega)
+        assert f.omega.dtype == np.int64
+        assert np.array_equal(frames.columns(f, [0, 5]), frames.dense(f)[:, [0, 5]])
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), "4"])
+    def test_sizes_must_be_whole_numbers(self, bad):
+        with pytest.raises(InvalidParams, match="whole number"):
+            frames.gen_random_orthogonal(bad, 16, 0)
+        with pytest.raises(InvalidParams, match="whole number"):
+            frames.gen_subgaussian(4, bad, frames.GAUSSIAN, 0)
+        with pytest.raises(InvalidParams, match="whole number"):
+            frames.gen_partial_fourier(bad, 2, 0, mode=frames.EXACT_N)
+        with pytest.raises(InvalidParams, match="whole number"):
+            frames.FrameMatrix(n=bad, N=8, kind=frames.PARTIAL_FOURIER,
+                               omega=np.array([1, 3]))
+
+    def test_whole_float_sizes_are_stored_as_int(self):
+        f = frames.gen_random_orthogonal(4.0, 8.0, 2)
+        assert (type(f.n), type(f.N)) == (int, int)
+        assert np.array_equal(f.matrix, frames.gen_random_orthogonal(4, 8, 2).matrix)
+        pf = frames.gen_partial_fourier(16.0, 4.0, 1, mode=frames.EXACT_N)
+        same = frames.gen_partial_fourier(16, 4, 1, mode=frames.EXACT_N)
+        assert np.array_equal(pf.omega, same.omega)
 
 
 def _real_frame_inputs(g, n):

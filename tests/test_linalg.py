@@ -122,6 +122,23 @@ class TestSampling:
         )
 
 
+class TestCount:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), True])
+    def test_whole_numbers_become_ints(self, value):
+        got = linalg.count(value, "count", 1)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"),
+                                       "3", None, 1 + 0j, 0, -1, False])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(InvalidParams, match="count must be a whole number >= 1"):
+            linalg.count(value, "count", 1)
+
+    def test_the_error_class_is_the_callers(self):
+        with pytest.raises(RankDeficient):
+            linalg.count(0.5, "count", 0, RankDeficient)
+
+
 class TestVectorPlumbing:
     def test_as_vector_rejects_bad_shapes_and_values(self):
         with pytest.raises(DimensionMismatch):
@@ -132,6 +149,15 @@ class TestVectorPlumbing:
             linalg.as_vector(np.array([1.0, np.nan]))
         with pytest.raises(InvalidParams):
             linalg.as_vector(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize("bad", [["a", "b"], np.array([object(), 1.0]), [1.0, "x"]])
+    def test_non_numeric_entries_are_refused(self, bad):
+        with pytest.raises(InvalidParams, match="must be numbers"):
+            linalg.as_vector(bad)
+
+    def test_numeric_input_is_not_copied(self):
+        for x in (np.arange(3.0), np.arange(3.0) + 1j):
+            assert linalg.float_or_complex(x) is x
 
     def test_norm2_matches_numpy(self):
         x = np.array([3.0, 4.0j])

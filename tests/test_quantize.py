@@ -43,6 +43,22 @@ class TestQuantizerSpec:
         with pytest.raises(InvalidParams):
             quantize.QuantizerSpec(levels_L=4, range_half_width=math.inf)
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "64"])
+    def test_levels_must_be_a_whole_number(self, bad):
+        with pytest.raises(InvalidParams, match="whole number"):
+            quantize.QuantizerSpec(levels_L=bad, range_half_width=1.0)
+
+    def test_whole_float_levels_keep_every_trial(self, frame_64x128):
+        x = unit_vectors(64, 1, 5)[0]
+        rep = _rep_for(frame_64x128, x, 0.9, 0.05)
+        models = [quantize.ErrorModel(tag=quantize.QUANTIZE_ONLY),
+                  quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=3.0, seed=1)]
+        want = quantize.distortion_trials(
+            frame_64x128, x, rep, quantize.QuantizerSpec.from_representation(rep, 64), models)
+        spec = quantize.QuantizerSpec.from_representation(rep, 64.0)
+        assert type(spec.levels_L) is int and type(models[1].flip_count) is int
+        assert quantize.distortion_trials(frame_64x128, x, rep, spec, models) == want
+
     def test_range_from_representation(self):
         rep = conversion.KashinRepresentation(
             coefficients=np.full(16, 0.1, dtype=np.complex128),
@@ -226,6 +242,11 @@ class TestErrorModels:
             quantize.ErrorModel(tag=quantize.ERASURE, damage_fraction=1.0)
         with pytest.raises(InvalidParams):
             quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=-1)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, "1"])
+    def test_flip_count_must_be_a_whole_number(self, bad):
+        with pytest.raises(InvalidParams, match="whole number"):
+            quantize.ErrorModel(tag=quantize.BIT_FLIP, flip_count=bad)
 
     def test_zero_fraction_is_identity(self):
         a = np.array([0.1, -0.2, 0.3j])

@@ -130,6 +130,11 @@ class TestEstimate:
         assert abs(eta_est - eta_exact) <= 1e-8
         assert w_est.support == w_exact.support
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, 0, "10"])
+    def test_trials_must_be_a_whole_number(self, frame_8x16, bad):
+        with pytest.raises(InvalidParams, match="whole number"):
+            uncertainty.up_estimate(frame_8x16, 2 / 16, trials=bad, seed=0)
+
     def test_always_a_lower_bound(self, frame_8x16, exact_up_8x16):
         eta_exact, _ = exact_up_8x16
         for seed in range(5):
