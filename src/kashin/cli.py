@@ -157,6 +157,9 @@ def _cmd_gen_frame(args) -> int:
     if not 1 <= args.n <= args.N:
         raise _UsageError(f"kashin gen-frame: need 1 <= n <= N, got n={args.n} "
                           f"N={args.N}")
+    if args.family == "fourier" and args.N > frames.FOURIER_MAX_N:
+        raise _UsageError(f"kashin gen-frame: partial Fourier frames need "
+                          f"N <= 2^24, got N={args.N}")
     frame = frames.generate(
         frames.FrameFamily(_FAMILY_FLAGS[args.family], args.n, args.N, args.seed)
     )

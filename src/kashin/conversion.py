@@ -70,10 +70,8 @@ class TruncationSpec:
         if self.mode not in (EXACT, APPROXIMATE):
             raise InvalidParams(f"unknown truncation mode {self.mode!r}")
         if self.mode == APPROXIMATE:
-            if not 0.0 < self.nu < 1.0:
-                raise InvalidParams(f"nu must lie in (0, 1), got {self.nu}")
-            if not 0.0 < self.tau < 1.0:
-                raise InvalidParams(f"tau must lie in (0, 1), got {self.tau}")
+            object.__setattr__(self, "nu", linalg.real(self.nu, "nu", 1.0))
+            object.__setattr__(self, "tau", linalg.real(self.tau, "tau", 1.0))
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,8 @@ class ConversionConfig:
 
     ``iterations`` is the pass count, a whole number of at least 1
     (stored as an int); the residual bound decays like eta'^iterations.
-    ``frame_epsilon`` is the tightness defect the run is certified
-    against; it must dominate the frame's measured defect.
+    ``frame_epsilon``, a real >= 0, is the tightness defect the run is
+    certified against; it must dominate the frame's measured defect.
     ``exact_last_iteration`` appends one unclipped completion pass,
     trading level for an exact expansion.
     """
@@ -97,10 +95,8 @@ class ConversionConfig:
     def __post_init__(self):
         object.__setattr__(self, "iterations", linalg.count(
             self.iterations, "iterations", 1, InvalidConfig))
-        if not (math.isfinite(self.frame_epsilon) and self.frame_epsilon >= 0.0):
-            raise InvalidConfig(
-                f"frame_epsilon must be finite and >= 0, got {self.frame_epsilon}"
-            )
+        object.__setattr__(self, "frame_epsilon", linalg.real(
+            self.frame_epsilon, "frame_epsilon", zero=True, error=InvalidConfig))
 
 
 @dataclass(frozen=True)
@@ -134,12 +130,11 @@ class KashinRepresentation:
         a = self.coefficients
         if a.ndim != 1 or a.size == 0:
             raise InvalidParams("coefficients must form a nonempty vector")
-        for name in ("level_K", "input_norm", "residual_bound"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise InvalidParams(f"{name} must be finite and >= 0, got {v}")
-        if self.iterations_used < 0:
-            raise InvalidParams("iterations_used must be >= 0")
+        linalg.real(self.level_K, "level_K", zero=True)
+        linalg.real(self.input_norm, "input_norm", zero=True)
+        linalg.real(self.residual_bound, "residual_bound", zero=True)
+        object.__setattr__(self, "iterations_used", linalg.count(
+            self.iterations_used, "iterations_used", 0))
         cap = self.level_K / math.sqrt(a.size) * self.input_norm
         # written so that a NaN coefficient fails it too
         if not float(np.max(np.abs(a))) <= cap * (1.0 + _LEVEL_SLACK):

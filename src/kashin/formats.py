@@ -75,9 +75,9 @@ def read_frame(path) -> frames.FrameMatrix:
     copy, once the header and the file's length agree.  A kind-0
     (complex) payload whose imaginary part is exactly zero becomes a
     float64 frame, as every real matrix does (see
-    :class:`frames.FrameMatrix`), which also refuses row indices that are
-    unsorted, repeated or out of range, a partial Fourier N above
-    ``frames.FOURIER_MAX_N`` and a matrix with a NaN or infinite entry;
+    :class:`frames.FrameMatrix`), which also refuses n < 1 or n > N, row
+    indices that are unsorted, repeated or out of range, a partial Fourier
+    N above ``frames.FOURIER_MAX_N`` and a matrix with a NaN or infinite entry;
     its errors surface as :class:`FormatError`.  The format does
     not carry the tightness defect; the frame measures it on first read of
     ``tightness_eps``.
@@ -93,8 +93,6 @@ def read_frame(path) -> frames.FrameMatrix:
             raise FormatError(f"unsupported frame format version {version}")
         if kind_code not in _KINDS:
             raise FormatError(f"unknown frame kind code {kind_code}")
-        if not 1 <= n <= N:
-            raise FormatError(f"inconsistent header dimensions n={n} N={N}")
         size = fh.seek(0, io.SEEK_END) - _FRAME_HEADER.size
         fh.seek(_FRAME_HEADER.size)
         kind, dtype = _KINDS[kind_code]
@@ -120,7 +118,7 @@ def _read_payload(fh, size: int, what: str, dtype: str, shape) -> np.ndarray:
     if size != expected:
         raise FormatError(f"{what} payload holds {size} bytes; expected {expected}")
     out = np.empty(shape, dtype=dtype)
-    if fh.readinto(out.data.cast("B")) != expected:
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != expected:
         raise FormatError(f"{what} payload ended while it was read")
     return out.astype(out.dtype.newbyteorder("="), copy=False)
 
@@ -153,8 +151,6 @@ def representation_from_bytes(blob: bytes) -> KashinRepresentation:
         raise FormatError(f"bad magic {magic!r}; expected {COEFF_MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported coefficient format version {version}")
-    if N < 1:
-        raise FormatError(f"coefficient count must be positive, got {N}")
     payload = blob[_COEFF_HEADER.size:]
     if len(payload) != 16 * N:
         raise FormatError(

@@ -92,26 +92,23 @@ class FrameMatrix:
     omega: np.ndarray | None = None
 
     def __post_init__(self):
-        n, N = linalg.count(self.n, "n", 1), linalg.count(self.N, "N", 1)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        if not n <= N:
-            raise InvalidParams(f"need 1 <= n <= N, got n={n} N={N}")
+        object.__setattr__(self, "n", linalg.count(self.n, "n", 1))
+        object.__setattr__(self, "N", linalg.count(self.N, "N", self.n))
         if self.kind == DENSE:
             u = linalg.float_or_complex(self.matrix)
-            if u.shape != (n, N):
+            if u.shape != (self.n, self.N):
                 raise InvalidParams("dense frame needs an (n, N) coefficient matrix")
             object.__setattr__(self, "matrix", linalg.real_if_exact(u))
             if not _finite(self.matrix):
                 raise InvalidParams("frame matrix has a NaN or infinite entry")
         elif self.kind == PARTIAL_FOURIER:
-            _check_fourier_size(N)
+            _check_fourier_size(self.N)
             om = np.asarray(self.omega)
-            if om.dtype.kind not in "iu" or om.shape != (n,):
+            if om.dtype.kind not in "iu" or om.shape != (self.n,):
                 raise InvalidParams("partial Fourier frame needs exactly n integer row indices")
             om = om.astype(np.int64, copy=False)
             object.__setattr__(self, "omega", om)
-            if om[0] < 0 or om[-1] >= N or np.any(np.diff(om) <= 0):
+            if om[0] < 0 or om[-1] >= self.N or np.any(np.diff(om) <= 0):
                 raise InvalidParams("row indices must be sorted, distinct, and in [0, N)")
         else:
             raise InvalidParams(f"unknown frame kind {self.kind!r}")
@@ -133,8 +130,9 @@ class FrameFamily:
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise InvalidParams(f"unknown family tag {self.tag!r}")
-        if not 1 <= self.n <= self.N:
-            raise InvalidParams(f"need 1 <= n <= N, got n={self.n} N={self.N}")
+        object.__setattr__(self, "n", linalg.count(self.n, "n", 1))
+        object.__setattr__(self, "N", linalg.count(self.N, "N", self.n))
+        object.__setattr__(self, "seed", linalg.count(self.seed, "seed", 0))
 
 
 def _check_fourier_size(N: int) -> None:
@@ -241,9 +239,8 @@ def gen_partial_fourier(
     exactly n rows.  Either way the resulting rows are exactly orthonormal.
     N above ``FOURIER_MAX_N`` raises :class:`InvalidParams` before the draw.
     """
-    n, N = linalg.count(n, "n", 1), linalg.count(N, "N", 1)
-    if not n <= N:
-        raise InvalidParams(f"need 1 <= n <= N, got n={n} N={N}")
+    n = linalg.count(n, "n", 1)
+    N = linalg.count(N, "N", n)
     _check_fourier_size(N)
     g = linalg.rng_from_seed(seed)
     if mode == BERNOULLI_SELECTORS:

@@ -2,7 +2,8 @@
 
 Provides the unitary discrete Fourier transform (numpy's FFT at every
 length), row orthonormalization with a fixed sign convention, seeded matrix
-sampling, and small vector helpers with strict shape checking.  Real data
+sampling, strictly checked vectors, and the checks of every count and
+real argument of the package (:func:`count`, :func:`real`).  Real data
 stays real: arrays are float64 when their input is real and complex128
 otherwise, and real-family samples are float64.
 
@@ -15,6 +16,7 @@ bit-identical results across runs and platforms.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,9 +26,9 @@ _RANK_TOL = 1e-12
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 generator for an unsigned 64-bit seed."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    """Deterministic PCG64 generator for a whole number seed in [0, 2^64)."""
+    seed = count(seed, "seed", 0)
+    if seed >= 2**64:
         raise InvalidParams(f"seed must fit in 64 unsigned bits, got {seed}")
     return np.random.default_rng(seed)
 
@@ -42,6 +44,19 @@ def count(value, name: str, minimum: int, error=InvalidParams) -> int:
     if whole is None or whole != value or whole < minimum:
         raise error(f"{name} must be a whole number >= {minimum}, got {value!r}")
     return whole
+
+
+def real(value, name: str, high: float = math.inf, zero=False, error=InvalidParams) -> float:
+    """``value`` as a float, when it is a real number in (0, high), or in
+    [0, high) with ``zero``; ``True`` is 1.0.  Anything else, NaN,
+    infinity, a string, None or a 0-d array among them, raises ``error``."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float64 range
+        x = math.nan
+    if not ((0.0 <= x if zero else 0.0 < x) and x < high):  # NaN fails both
+        raise error(f"{name} must lie in {'[' if zero else '('}0, {high:g}), got {value!r}")
+    return x
 
 
 def float_or_complex(x) -> np.ndarray:

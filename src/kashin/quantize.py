@@ -61,10 +61,8 @@ class QuantizerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "levels_L", linalg.count(self.levels_L, "levels_L", 2))
-        if not (math.isfinite(self.range_half_width) and self.range_half_width > 0.0):
-            raise InvalidParams(
-                f"range half-width must be positive, got {self.range_half_width}"
-            )
+        object.__setattr__(self, "range_half_width", linalg.real(
+            self.range_half_width, "range_half_width"))
 
     @property
     def step(self) -> float:
@@ -203,11 +201,10 @@ class ErrorModel:
     def __post_init__(self):
         if self.tag not in MODEL_TAGS:
             raise InvalidParams(f"unknown error model {self.tag!r}")
-        if not 0.0 <= self.damage_fraction < 1.0:
-            raise InvalidParams(
-                f"damage_fraction must lie in [0, 1), got {self.damage_fraction}"
-            )
+        object.__setattr__(self, "damage_fraction", linalg.real(
+            self.damage_fraction, "damage_fraction", 1.0, zero=True))
         object.__setattr__(self, "flip_count", linalg.count(self.flip_count, "flip_count", 0))
+        object.__setattr__(self, "seed", linalg.count(self.seed, "seed", 0))
 
 
 def _damage_indices(g, N: int, fraction: float) -> np.ndarray:
@@ -295,8 +292,7 @@ def apply_error_model(
     touched coefficients back to ``clamp_W``.  Untouched coefficients
     come through bit-identical.
     """
-    if not clamp_W > 0.0:
-        raise InvalidParams(f"clamp_W must be positive, got {clamp_W}")
+    clamp_W = linalg.real(clamp_W, "clamp_W")
     return _apply_damage(linalg.as_vector(a), model, clamp_W, quantizer)[0]
 
 

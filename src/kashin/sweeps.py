@@ -97,6 +97,7 @@ def decay_sweep(family: frames.FrameFamily, delta: float, passes: int,
     ``passes`` passes and check each final error ``norm(x - U a)`` against
     ``eta'^passes + 1e-13``.  Raises :class:`~kashin.errors.InvalidConfig`
     when the frame's tightness defect pushes eta' to 1 or beyond."""
+    trials = linalg.count(trials, "trials", 1)
     frame = frames.generate(family)
     eta, cfg = calibrate(frame, delta, passes, family.seed)
     eta_adj, _, level = conversion.adjusted_parameters(cfg)
@@ -132,6 +133,7 @@ def channel_sweep(family: frames.FrameFamily, delta: float, passes: int,
     :func:`~kashin.quantize.frame_baseline_quantize` on each input (model
     tag ``baseline``, K = 0).
     """
+    trials = linalg.count(trials, "trials", 1)
     frame = frames.generate(family)
     eta, cfg = calibrate(frame, delta, passes, family.seed)
     inputs = _unit_inputs(frame.n, family.seed, trials)

@@ -38,17 +38,15 @@ _EXACT_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class UPParams:
-    """Uncertainty-principle parameters: synthesis-operator bound eta
-    over supports of size at most delta*N."""
+    """Uncertainty-principle parameters in (0, 1): synthesis-operator
+    bound eta over supports of size at most delta*N."""
 
     eta: float
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise InvalidParams(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidParams(f"delta must lie in (0, 1), got {self.delta}")
+        object.__setattr__(self, "eta", linalg.real(self.eta, "eta", 1.0))
+        object.__setattr__(self, "delta", linalg.real(self.delta, "delta", 1.0))
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,7 @@ def support_width(delta: float, N: int) -> int:
     (0.05 * 1280 = 64) are not pushed down by binary rounding.  A width
     below 1 is a caller error.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParams(f"delta must lie in (0, 1), got {delta}")
+    delta = linalg.real(delta, "delta", 1.0)
     width = int(math.floor(delta * N + 1e-9))
     if width < 1:
         raise InvalidParams(f"support width floor({delta}*{N}) < 1")
@@ -175,10 +172,9 @@ def uup_to_up(epsilon: float, delta: float, n: int, N: int) -> UPParams:
     ``eta = (1 + epsilon) / (1 - epsilon) * sqrt(n / N)`` at the same
     delta.  Raises :class:`InvalidParams` when that eta reaches 1.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise InvalidParams(f"epsilon must lie in [0, 1), got {epsilon}")
-    if not 1 <= n <= N:
-        raise InvalidParams(f"need 1 <= n <= N, got n={n} N={N}")
+    epsilon = linalg.real(epsilon, "epsilon", 1.0, zero=True)
+    n = linalg.count(n, "n", 1)
+    N = linalg.count(N, "N", n)
     eta = (1.0 + epsilon) / (1.0 - epsilon) * math.sqrt(n / N)
     if eta >= 1.0:
         raise InvalidParams(

@@ -174,6 +174,9 @@ class TestExitCodes:
         (["gen-frame", "--family", "orthogonal", "--n", "0", "--N", "8",
           "--out", "OUT"],
          "need 1 <= n <= N, got n=0 N=8"),
+        (["gen-frame", "--family", "fourier", "--n", "8", "--N", "33554432",
+          "--out", "OUT"],
+         "partial Fourier frames need N <= 2^24, got N=33554432"),
     ])
     def test_count_and_fraction_flags_are_usage_errors(self, tmp_path, capsys,
                                                        frame_file, argv,

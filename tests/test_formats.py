@@ -128,6 +128,18 @@ class TestFrameFiles:
         with pytest.raises(FormatError):
             _read_blob(tmp_path, blob)
 
+    @pytest.mark.parametrize("code, n, N, payload", [
+        (2, 0, 8, b""), (1, 0, 8, b""), (1, 0, 0, b""), (2, 3, 2, bytes(48)),
+        (1, 3, 2, np.arange(3, dtype="<u4").tobytes()),
+    ])
+    def test_dimensions_without_n_at_most_N_are_refused_by_the_frame(
+            self, tmp_path, code, n, N, payload):
+        # the payload holds what the header declares, an empty one included,
+        # so it is the frame's own rule 1 <= n <= N that refuses the file
+        blob = struct.pack("<4sHBII", b"KFRM", 1, code, n, N) + payload
+        with pytest.raises(FormatError, match="must be a whole number >= "):
+            _read_blob(tmp_path, blob)
+
     def test_unsorted_indices_rejected(self, tmp_path):
         header = struct.pack("<4sHBII", b"KFRM", 1, 1, 2, 8)
         payload = np.array([5, 3], dtype="<u4").tobytes()

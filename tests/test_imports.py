@@ -151,3 +151,42 @@ def test_every_optional_parameter_has_a_caller():
     }
     assert optional  # the walk finds parameters at all
     assert unpassed == set(UNPASSED)
+
+
+# public dataclasses that only the package fills, whose int and float
+# fields need no argument check, each with the reason
+FILLED_BY_THE_PACKAGE = {
+    "UPWitness": "calibration builds it from a support and its eigen-solve",
+    "DistortionReport": "distortion trials build it from measured norms",
+    "ExperimentRow": "the sweeps build it from checked configurations",
+    "DecaySweep": "decay_sweep builds it from checked configurations",
+}
+
+
+def test_every_numeric_field_is_checked_by_count_or_real():
+    # a field annotated int or float is passed as `self.<field>` to
+    # linalg.count or linalg.real in its class's __post_init__
+    unchecked, filled = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_") or not any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                continue
+            if node.name in FILLED_BY_THE_PACKAGE:
+                filled.add(node.name)
+                continue
+            numeric = [item.target.id for item in node.body
+                       if isinstance(item, ast.AnnAssign)
+                       and ast.unparse(item.annotation) in ("int", "float")]
+            checked = {
+                call.args[0].attr
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                for call in ast.walk(item)
+                if isinstance(call, ast.Call)
+                and ast.unparse(call.func) in ("linalg.count", "linalg.real")
+                and ast.unparse(call.args[0]).startswith("self.")
+            }
+            unchecked += [f"{node.name}.{name}" for name in numeric if name not in checked]
+    assert unchecked == []
+    assert filled == set(FILLED_BY_THE_PACKAGE)

@@ -1,7 +1,7 @@
 import pytest
 
 from kashin import frames, quantize, sweeps, uncertainty
-from kashin.errors import InvalidConfig
+from kashin.errors import InvalidConfig, InvalidParams
 
 FAMILY = frames.FrameFamily(frames.RANDOM_ORTHOGONAL, 16, 32, 4)
 
@@ -47,3 +47,20 @@ def test_decay_sweep_refuses_frames_without_contraction():
     family = frames.FrameFamily(frames.GAUSSIAN, 16, 32, 0)
     with pytest.raises(InvalidConfig):
         sweeps.decay_sweep(family, 0.05, 4, 2)
+
+
+NOT_A_TRIAL_COUNT = [0, -1, False, 2.5, float("nan"), "3"]
+
+
+@pytest.mark.parametrize("trials", NOT_A_TRIAL_COUNT)
+def test_decay_sweep_refuses_a_trial_count_below_one_or_not_whole(trials):
+    # 0, -1 and False used to return no rows, 2.5 a raw TypeError
+    with pytest.raises(InvalidParams, match="trials must be a whole number >= 1"):
+        sweeps.decay_sweep(FAMILY, 0.05, 4, trials)
+
+
+@pytest.mark.parametrize("trials", NOT_A_TRIAL_COUNT)
+def test_channel_sweep_refuses_a_trial_count_below_one_or_not_whole(trials):
+    cells = [(quantize.QUANTIZE_ONLY, 0.0, 16)]
+    with pytest.raises(InvalidParams, match="trials must be a whole number >= 1"):
+        sweeps.channel_sweep(FAMILY, 0.05, 4, cells, trials)
