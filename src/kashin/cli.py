@@ -153,13 +153,19 @@ def _build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+def _check_shape(command: str, flag: str, n: int, N: int) -> None:
+    """A family flag's frame shape, refused as a usage error before any
+    work unless 1 <= n <= N, and N <= ``frames.FOURIER_MAX_N`` for a
+    partial Fourier frame."""
+    if not 1 <= n <= N:
+        raise _UsageError(f"kashin {command}: need 1 <= n <= N, got n={n} N={N}")
+    if flag == "fourier" and N > frames.FOURIER_MAX_N:
+        raise _UsageError(f"kashin {command}: partial Fourier frames need "
+                          f"N <= 2^24, got N={N}")
+
+
 def _cmd_gen_frame(args) -> int:
-    if not 1 <= args.n <= args.N:
-        raise _UsageError(f"kashin gen-frame: need 1 <= n <= N, got n={args.n} "
-                          f"N={args.N}")
-    if args.family == "fourier" and args.N > frames.FOURIER_MAX_N:
-        raise _UsageError(f"kashin gen-frame: partial Fourier frames need "
-                          f"N <= 2^24, got N={args.N}")
+    _check_shape(args.command, args.family, args.n, args.N)
     frame = frames.generate(
         frames.FrameFamily(_FAMILY_FLAGS[args.family], args.n, args.N, args.seed)
     )
@@ -376,6 +382,9 @@ def _cmd_bench(args) -> int:
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
+    for flag in args.families:
+        for n, N in args.shapes:
+            _check_shape(args.command, flag, n, N)
     rows = []
     for flag in args.families:
         for n, N in args.shapes:

@@ -71,7 +71,10 @@ class FrameMatrix:
 
     A dense matrix whose imaginary part is exactly zero is stored as
     float64 (see :func:`linalg.real_if_exact`), so real frames read and
-    multiply half the bytes of complex storage.
+    multiply half the bytes of complex storage.  A dense matrix is stored
+    C-ordered (copied only when it is not), so a frame's products, and the
+    bits of every encode against it, depend on its values alone: a frame
+    and its ``.kfrm`` read-back encode alike.
 
     A dense matrix is taken as float64 or complex128 (see
     :func:`linalg.float_or_complex`); one with a NaN or infinite entry
@@ -98,7 +101,7 @@ class FrameMatrix:
             u = linalg.float_or_complex(self.matrix)
             if u.shape != (self.n, self.N):
                 raise InvalidParams("dense frame needs an (n, N) coefficient matrix")
-            object.__setattr__(self, "matrix", linalg.real_if_exact(u))
+            object.__setattr__(self, "matrix", np.ascontiguousarray(linalg.real_if_exact(u)))
             if not _finite(self.matrix):
                 raise InvalidParams("frame matrix has a NaN or infinite entry")
         elif self.kind == PARTIAL_FOURIER:
@@ -268,8 +271,8 @@ def gen_subgaussian(n: int, N: int, dist: str, seed: int) -> FrameMatrix:
         phi = linalg.sample_bernoulli(n, N, seed)
     else:
         raise InvalidParams(f"unknown entry distribution {dist!r}")
-    u = phi * (1.0 / math.sqrt(N))
-    return FrameMatrix(n=n, N=N, kind=DENSE, matrix=u)
+    phi *= 1.0 / math.sqrt(N)
+    return FrameMatrix(n=n, N=N, kind=DENSE, matrix=phi)
 
 
 def generate(family: FrameFamily) -> FrameMatrix:

@@ -1,7 +1,9 @@
 """Linear-algebra kernels shared by the rest of the package.
 
 Provides the unitary discrete Fourier transform (numpy's FFT at every
-length), row orthonormalization with a fixed sign convention, seeded matrix
+length), row orthonormalization with a fixed sign convention (LAPACK's
+``dgeqrf`` and ``dorgqr``, or ``zgeqrf`` and ``zungqr`` for complex rows,
+run in place through ``numpy.linalg.lapack_lite``), seeded matrix
 sampling, strictly checked vectors, and the checks of every count and
 real argument of the package (:func:`count`, :func:`real`).  Real data
 stays real: arrays are float64 when their input is real and complex128
@@ -19,6 +21,7 @@ import math
 import numbers
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DimensionMismatch, InvalidParams, RankDeficient
 
@@ -131,6 +134,16 @@ def qr_orthonormalize_rows(m) -> np.ndarray:
     arithmetic on the real part (see :func:`real_if_exact`) and the result
     is float64; otherwise it is complex128.
 
+    The factorization is LAPACK's ``dgeqrf`` then ``dorgqr`` (``zgeqrf``
+    then ``zungqr`` for complex rows), the routines behind
+    ``np.linalg.qr``, with the same bits as its result.  They run in place
+    on one C-ordered working copy of ``m``, conjugated when complex: a
+    (rows, cols) C-ordered buffer is the column-major (cols, rows) matrix
+    of its transpose, so LAPACK factors ``m^H = Q R`` there and leaves
+    ``Q^T`` in it, the result up to conjugation and the phases of R's
+    diagonal.  So the result is C-ordered, ``m`` is never written, and the
+    factorization needs no memory beyond the copy and LAPACK's workspace.
+
     Raises
     ------
     RankDeficient
@@ -142,16 +155,35 @@ def qr_orthonormalize_rows(m) -> np.ndarray:
     if rows > cols:
         raise DimensionMismatch(f"need rows <= cols to orthonormalize, got {rows}x{cols}")
     a = real_if_exact(a)
-    q, r = np.linalg.qr(a.conj().T, mode="reduced")
-    diag = np.diagonal(r)
-    pivots = np.abs(diag)
+    # before the copy, so the row norms' temporary and the copy never coexist
     tol = _RANK_TOL * float(np.linalg.norm(a, axis=1).max())
+    complex_rows = np.iscomplexobj(a)
+    if complex_rows:
+        w = np.conjugate(a, order="C")
+        geqrf, orgqr = lapack_lite.zgeqrf, lapack_lite.zungqr
+    else:
+        w = a.copy(order="C")
+        geqrf, orgqr = lapack_lite.dgeqrf, lapack_lite.dorgqr
+    tau = np.empty(rows, w.dtype)
+    _run_lapack(geqrf, cols, rows, w, cols, tau)
+    diag = w.diagonal().copy()  # R's diagonal, which orgqr overwrites
+    pivots = np.abs(diag)
     if np.any(pivots < tol):
         raise RankDeficient(
             f"numerical rank below {rows}: pivot {pivots.min():.3e} under tolerance {tol:.3e}"
         )
-    phase = diag / pivots
-    return (q * phase).conj().T
+    _run_lapack(orgqr, cols, rows, rows, w, cols, tau)
+    w *= (diag / pivots)[:, None]
+    return np.conjugate(w, out=w) if complex_rows else w
+
+
+def _run_lapack(routine, *args) -> None:
+    """Call the ``lapack_lite`` ``routine`` on ``args``, which end with
+    ``tau``, with the workspace its own size query asks for."""
+    query = np.empty(1, args[-1].dtype)
+    routine(*args, query, -1, 0)
+    work = np.empty(max(1, int(query[0].real)), query.dtype)
+    routine(*args, work, work.size, 0)
 
 
 def _sample_shape(rows: int, cols: int) -> tuple[int, int]:

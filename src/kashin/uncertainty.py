@@ -72,6 +72,7 @@ def support_width(delta: float, N: int) -> int:
     below 1 is a caller error.
     """
     delta = linalg.real(delta, "delta", 1.0)
+    N = linalg.count(N, "N", 1)
     width = int(math.floor(delta * N + 1e-9))
     if width < 1:
         raise InvalidParams(f"support width floor({delta}*{N}) < 1")

@@ -177,6 +177,9 @@ class TestExitCodes:
         (["gen-frame", "--family", "fourier", "--n", "8", "--N", "33554432",
           "--out", "OUT"],
          "partial Fourier frames need N <= 2^24, got N=33554432"),
+        (["bench", "--suite", "decay", "--families", "orthogonal", "fourier",
+          "--shapes", "8x16", "8x33554432", "--csv", "OUT"],
+         "partial Fourier frames need N <= 2^24, got N=33554432"),
     ])
     def test_count_and_fraction_flags_are_usage_errors(self, tmp_path, capsys,
                                                        frame_file, argv,

@@ -118,6 +118,7 @@ PAIRS = {
     "up_estimate.seed": (COUNT, lambda v: uncertainty.up_estimate(FRAME, 0.125, 4, v)),
     "up_check_exact.delta": (REAL, lambda v: uncertainty.up_check_exact(FRAME, v)),
     "support_width.delta": (REAL, lambda v: uncertainty.support_width(v, 16)),
+    "support_width.N": (COUNT, lambda v: uncertainty.support_width(0.5, v)),
     "uup_to_up.epsilon": (REAL, lambda v: uncertainty.uup_to_up(v, 0.25, 4, 64)),
     "uup_to_up.delta": (REAL, lambda v: uncertainty.uup_to_up(0.1, v, 4, 64)),
     "uup_to_up.n": (COUNT, lambda v: uncertainty.uup_to_up(0.1, 0.25, v, 64)),

@@ -547,6 +547,43 @@ class TestRealStorage:
         assert peak <= f.matrix.nbytes + (1 << 16)
 
 
+
+class TestStorageOrder:
+    @pytest.mark.parametrize("n, N", [(64, 128), (256, 1024)])
+    def test_encode_bits_depend_on_the_values_alone(self, tmp_path, n, N):
+        # the same values stored F-ordered, or read back from their file,
+        # run the same products and so give the same bytes
+        f = frames.gen_random_orthogonal(n, N, 4)
+        path = tmp_path / "f.kfrm"
+        formats.write_frame(path, f)
+        same = [formats.read_frame(path),
+                frames.FrameMatrix(n=n, N=N, kind=frames.DENSE,
+                                   matrix=np.asfortranarray(f.matrix))]
+        assert f.matrix.flags.c_contiguous
+        assert all(g.matrix.flags.c_contiguous for g in same)
+        cfg = conversion.ConversionConfig(
+            up=uncertainty.UPParams(eta=0.9, delta=0.05),
+            truncation=conversion.TruncationSpec(), iterations=6,
+            frame_epsilon=f.tightness_eps + 1e-12)
+        inputs = [f.matrix[:, t] / np.linalg.norm(f.matrix[:, t]) for t in range(5)]
+        inputs += unit_vectors(n, 5, 9, complex_valued=True)
+        for x in inputs:
+            want = formats.representation_to_bytes(conversion.kashin_encode(f, x, cfg))
+            for g in same:
+                got = conversion.kashin_encode(g, x, cfg)
+                assert formats.representation_to_bytes(got) == want
+
+    def test_gaussian_frame_is_scaled_in_place(self):
+        frames.gen_subgaussian(256, 1024, frames.GAUSSIAN, 1)
+        tracemalloc.start()
+        try:
+            f = frames.gen_subgaussian(256, 1024, frames.GAUSSIAN, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * f.matrix.nbytes
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),

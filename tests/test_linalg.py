@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kashin import linalg
+from kashin import frames, linalg
 from kashin.errors import DimensionMismatch, InvalidParams, RankDeficient
 
 
@@ -95,6 +97,64 @@ class TestQrOrthonormalizeRows:
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         with pytest.raises(RankDeficient):
             linalg.qr_orthonormalize_rows(m)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_dependent_row_among_others_is_rejected(self, dtype):
+        g = linalg.rng_from_seed(8)
+        m = g.standard_normal((4, 9)).astype(dtype)
+        if dtype == np.complex128:
+            m += 1j * g.standard_normal((4, 9))
+        m[2] = 0.5 * m[0] - (2.0 - 1.5j if dtype == np.complex128 else 2.0) * m[1]
+        with pytest.raises(RankDeficient):
+            linalg.qr_orthonormalize_rows(m)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 5), (8, 16), (64, 64),
+                                       (17, 40), (96, 256)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_same_bits_as_numpys_positive_diagonal_qr(self, shape, kind, layout):
+        g = linalg.rng_from_seed(shape[0] * 1000 + shape[1])
+        m = g.standard_normal(shape)
+        if kind == "complex":
+            m = m + 1j * g.standard_normal(shape)
+        given = {
+            "C": m,
+            "F": np.asfortranarray(m),
+            "strided": np.repeat(m, 2, axis=1)[:, ::2],
+        }[layout]
+        kept = given.copy()
+        q = linalg.qr_orthonormalize_rows(given)
+        # the reference: m^H = Q R with R's diagonal rotated real positive
+        qn, rn = np.linalg.qr(m.conj().T)
+        diag = np.diagonal(rn)
+        want = (qn * (diag / np.abs(diag))).conj().T
+        assert q.dtype == want.dtype
+        assert np.array_equal(q, want)
+        assert q.flags.c_contiguous
+        assert np.array_equal(given, kept)
+
+    def test_transient_memory_is_about_twice_the_frame(self):
+        frames.gen_random_orthogonal(256, 1024, 1)
+        tracemalloc.start()
+        try:
+            f = frames.gen_random_orthogonal(256, 1024, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the Gaussian sample and the one working copy factored in place
+        assert peak <= 2.1 * f.matrix.nbytes
+
+
+def test_numpy_ships_the_lapack_routines_the_factorization_calls():
+    try:
+        from numpy.linalg import lapack_lite
+    except ImportError:
+        lapack_lite = None
+    missing = [name for name in ("dgeqrf", "dorgqr", "zgeqrf", "zungqr")
+               if not hasattr(lapack_lite, name)]
+    assert not missing, (
+        f"linalg.qr_orthonormalize_rows calls numpy.linalg.lapack_lite."
+        f"{{dgeqrf, dorgqr, zgeqrf, zungqr}}; this numpy lacks {missing}")
 
 
 class TestSampling:
