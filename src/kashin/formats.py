@@ -10,6 +10,12 @@ Fourier row selection; coefficient files (magic
 to the coefficients, and readers re-check the level bound so a corrupt
 file cannot smuggle an invalid certificate.  Measured tightness and the
 iteration count are recomputable/diagnostic and are not serialized.
+
+Coefficients and vectors are written as complex (re, im) pairs whatever
+their dtype.  Every reader of complex pairs, a kind-0 frame's included,
+returns float64 when all imaginary parts are exactly zero and complex128
+otherwise (see :func:`linalg.real_if_exact`), so real data written as
+float64 reads back as float64 with the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import frames
+from . import frames, linalg
 from .conversion import KashinRepresentation
 from .errors import ContractViolation, FormatError, InvalidParams
 
@@ -139,9 +145,23 @@ def representation_to_bytes(rep: KashinRepresentation) -> bytes:
     ).tobytes()
 
 
+def _pairs(blob: bytes, offset: int = 0) -> np.ndarray:
+    """The little-endian complex pairs of ``blob`` past ``offset``, as a
+    new array: float64 when every imaginary part is exactly zero (see
+    :func:`linalg.real_if_exact`), complex128 otherwise.  The bytes are
+    read in place, never sliced, and copied once."""
+    view = np.frombuffer(blob, dtype="<c16", offset=offset)
+    a = linalg.real_if_exact(view)
+    return a.astype(a.dtype.newbyteorder("="), copy=a is view)
+
+
 def representation_from_bytes(blob: bytes) -> KashinRepresentation:
     """Parse a coefficient file; :class:`KashinRepresentation` re-validates
-    the certificate, and its errors surface as :class:`FormatError`."""
+    the certificate, and its errors surface as :class:`FormatError`.
+
+    Coefficients whose imaginary parts are all exactly zero come back as
+    float64, so a real frame's coefficients keep their dtype and bits
+    across the round trip and decode in real arithmetic."""
     if len(blob) < _COEFF_HEADER.size:
         raise FormatError("coefficient file shorter than its header")
     magic, version, N, level_K, input_norm, residual_bound = (
@@ -151,14 +171,14 @@ def representation_from_bytes(blob: bytes) -> KashinRepresentation:
         raise FormatError(f"bad magic {magic!r}; expected {COEFF_MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported coefficient format version {version}")
-    payload = blob[_COEFF_HEADER.size:]
-    if len(payload) != 16 * N:
+    size = len(blob) - _COEFF_HEADER.size
+    if size != 16 * N:
         raise FormatError(
-            f"coefficient payload holds {len(payload)} bytes; expected {16 * N}"
+            f"coefficient payload holds {size} bytes; expected {16 * N}"
         )
     try:
         return KashinRepresentation(
-            coefficients=np.frombuffer(payload, dtype="<c16").astype(np.complex128),
+            coefficients=_pairs(blob, _COEFF_HEADER.size),
             level_K=level_K,
             input_norm=input_norm,
             residual_bound=residual_bound,
@@ -214,8 +234,10 @@ def _finite(v: np.ndarray) -> np.ndarray:
 
 
 def read_vector(path, fmt: str = ASCII) -> np.ndarray:
-    """Read a complex vector written by :func:`write_vector`; every entry
-    must be finite."""
+    """Read a vector written by :func:`write_vector`; every entry must be
+    finite.  It is float64 when every imaginary part is exactly zero (see
+    :func:`linalg.real_if_exact`), so a real vector reads back as written,
+    and complex128 otherwise."""
     if fmt == ASCII:
         lines = Path(path).read_text().splitlines()
         rows = list(map(str.split, lines))
@@ -229,14 +251,14 @@ def read_vector(path, fmt: str = ASCII) -> np.ndarray:
             _raise_for_bad_line(lines)
         if parts.size == 0:
             raise FormatError("vector file holds no entries")
-        return _finite(parts.view(np.complex128))
+        return _finite(linalg.real_if_exact(parts.view(np.complex128)))
     if fmt == BINARY:
         blob = Path(path).read_bytes()
         if len(blob) == 0 or len(blob) % 16:
             raise FormatError(
                 f"binary vector length {len(blob)} is not a positive multiple of 16"
             )
-        return _finite(np.frombuffer(blob, dtype="<c16").astype(np.complex128))
+        return _finite(_pairs(blob))
     raise FormatError(f"unknown vector format {fmt!r}")
 
 

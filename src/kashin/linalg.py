@@ -26,6 +26,9 @@ from numpy.linalg import lapack_lite
 from .errors import DimensionMismatch, InvalidParams, RankDeficient
 
 _RANK_TOL = 1e-12
+# entries of a Bernoulli sample drawn at a time, so the int64 draw is a
+# small temporary next to the float64 matrix it fills (128 KiB)
+_DRAW_BLOCK = 1 << 14
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -38,10 +41,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 def count(value, name: str, minimum: int, error=InvalidParams) -> int:
     """``value`` as an int, when it is a whole number of at least
-    ``minimum``: 3 and 3.0 give 3.  Anything else, 2.5, NaN, infinity or a
-    string among them, raises ``error``."""
+    ``minimum``: 3, 3.0 and ``np.int64(3)`` give 3.  Anything else, 2.5,
+    NaN, infinity, a string or a 0-d array among them, raises ``error``,
+    as :func:`real` does."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, np.ndarray) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value or whole < minimum:
@@ -198,11 +202,25 @@ def sample_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def sample_bernoulli(rows: int, cols: int, seed: int) -> np.ndarray:
-    """float64 matrix of iid symmetric +/-1 entries."""
+    """float64 matrix of iid symmetric +/-1 entries, ``2 b - 1`` for the
+    bits ``b`` of ``integers(0, 2)``.
+
+    The bits are drawn ``_DRAW_BLOCK`` entries at a time, in row-major
+    order, and mapped into the result as they come, so the matrix is the
+    only large allocation.  Consecutive draws continue the generator's
+    stream, so the matrix is the one a single draw of the whole shape
+    gives.
+    """
     shape = _sample_shape(rows, cols)
     g = rng_from_seed(seed)
-    signs = g.integers(0, 2, size=shape).astype(np.float64)
-    return 2.0 * signs - 1.0
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        block = flat[start:start + _DRAW_BLOCK]
+        block[...] = g.integers(0, 2, size=block.size)
+        block *= 2.0
+        block -= 1.0
+    return out
 
 
 def sqrt_inner(a: np.ndarray, b: np.ndarray) -> float:

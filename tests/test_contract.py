@@ -17,7 +17,7 @@ from kashin.errors import KashinError
 VALUES = [
     0, 1, 2, 3, 8, -1, 2.0, 2.5, 0.5, 1e-300, math.nan, math.inf, -math.inf,
     True, False, "3", "0.5", None, np.float64(0.5), np.int64(3), np.array(0.5),
-    [1],
+    np.array(4), [1],
 ]
 
 COUNT = "count"

@@ -260,7 +260,8 @@ class TestRealFrameFiles:
     def test_read_back_coefficients_decode_bit_identically(self, tmp_path,
                                                            frame_64x128):
         # a real frame and real data give float64 coefficients; the file
-        # holds them as complex128, and decoding either runs the same GEMV
+        # holds them as complex128 pairs and reads them back as float64, so
+        # decoding either runs the same GEMV
         cfg = conversion.ConversionConfig(
             up=uncertainty.UPParams(eta=0.9, delta=0.05),
             truncation=conversion.TruncationSpec(),
@@ -273,7 +274,7 @@ class TestRealFrameFiles:
         path = tmp_path / "c.kcof"
         formats.write_representation(path, rep)
         back = formats.read_representation(path)
-        assert back.coefficients.dtype == np.complex128
+        assert back.coefficients.dtype == np.float64
         decoded = conversion.kashin_decode(frame_64x128, back)
         assert decoded.tobytes() == conversion.kashin_decode(frame_64x128, rep).tobytes()
 
@@ -344,6 +345,46 @@ class TestCoefficientFiles:
         payload = np.array([bad, 0.1, 0, 0], dtype="<c16").tobytes()
         with pytest.raises(FormatError, match="certified level bound"):
             formats.representation_from_bytes(header + payload)
+
+
+# (case, values written, values read back): complex pairs whose imaginary
+# parts are all zero read back as float64, as a kind-0 frame does
+_G = linalg.rng_from_seed(31)
+_REAL = 0.1 * _G.standard_normal(16)
+_COMPLEX = _REAL + 0.1j * _G.standard_normal(16)
+_PAIRS_CASES = [
+    ("real", _REAL, _REAL),
+    ("complex", _COMPLEX, _COMPLEX),
+    ("zero-imaginary", _REAL.astype(np.complex128), _REAL),
+]
+
+
+class TestRealDataStaysReal:
+    @pytest.mark.parametrize("case, values, expected", _PAIRS_CASES)
+    def test_coefficient_round_trip_keeps_dtype_and_bits(self, case, values, expected):
+        rep = conversion.KashinRepresentation(
+            coefficients=values, level_K=10.0, input_norm=1.0,
+            residual_bound=0.0, iterations_used=0)
+        blob = formats.representation_to_bytes(rep)
+        back = formats.representation_from_bytes(blob).coefficients
+        assert back.dtype == expected.dtype
+        assert back.tobytes() == expected.tobytes()
+        assert back.flags.writeable and back.flags.c_contiguous
+        assert formats.representation_to_bytes(
+            dataclasses.replace(rep, coefficients=back)) == blob
+
+    @pytest.mark.parametrize("fmt", [formats.ASCII, formats.BINARY])
+    @pytest.mark.parametrize("case, values, expected", _PAIRS_CASES)
+    def test_vector_round_trip_keeps_dtype_and_bits(self, tmp_path, fmt, case,
+                                                     values, expected):
+        path = tmp_path / "x.vec"
+        formats.write_vector(path, values, fmt)
+        back = formats.read_vector(path, fmt)
+        assert back.dtype == expected.dtype
+        assert back.tobytes() == expected.tobytes()
+        again = tmp_path / "again.vec"
+        formats.write_vector(again, back, fmt)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestVectorFiles:

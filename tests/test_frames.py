@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -578,6 +579,28 @@ class TestStorageOrder:
         tracemalloc.start()
         try:
             f = frames.gen_subgaussian(256, 1024, frames.GAUSSIAN, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * f.matrix.nbytes
+
+
+class TestBernoulliDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (256, 1024), (5, 9001)])
+    def test_the_frame_is_one_whole_draw_of_bits(self, seed, shape):
+        # the sampler draws in blocks; the stream is the single draw's
+        bits = np.random.default_rng(seed).integers(0, 2, shape)
+        want = 2 * bits - 1
+        assert np.array_equal(linalg.sample_bernoulli(*shape, seed), want)
+        f = frames.gen_subgaussian(*shape, frames.BERNOULLI, seed)
+        assert np.array_equal(f.matrix, want * (1.0 / math.sqrt(shape[1])))
+
+    def test_the_frame_is_the_only_large_allocation(self):
+        frames.gen_subgaussian(256, 1024, frames.BERNOULLI, 1)
+        tracemalloc.start()
+        try:
+            f = frames.gen_subgaussian(256, 1024, frames.BERNOULLI, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

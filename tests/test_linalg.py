@@ -189,7 +189,8 @@ class TestCount:
         assert got == value and type(got) is int
 
     @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"),
-                                       "3", None, 1 + 0j, 0, -1, False])
+                                       "3", None, 1 + 0j, 0, -1, False,
+                                       np.array(3), np.array(3.0)])
     def test_anything_else_is_refused(self, value):
         with pytest.raises(InvalidParams, match="count must be a whole number >= 1"):
             linalg.count(value, "count", 1)
