@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import conversion, formats, frames, quantize, sweeps, uncertainty
-from .errors import FormatError, InvalidConfig, KashinError
+from .errors import FormatError, InvalidConfig, InvalidParams, KashinError
 
 _FAMILY_FLAGS = {
     "orthogonal": frames.RANDOM_ORTHOGONAL,
@@ -44,11 +44,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _count(minimum: int):
+    """argparse type of a count flag: a whole number of at least
+    ``minimum``.  Other text reads ``invalid count value``, argparse
+    naming the type by the inner function."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def _fraction(closed: bool):
+    """argparse type of a fraction flag: a real in (0, 1), or in [0, 1)
+    when ``closed``.  Other text reads ``invalid fraction value``."""
+    def fraction(text: str) -> float:
+        value = float(text)
+        if not ((0.0 <= value if closed else 0.0 < value) and value < 1.0):
+            raise argparse.ArgumentTypeError(
+                f"must lie in {'[' if closed else '('}0, 1), got {value}")
+        return value
+    return fraction
+
+
 def _gen_frame_args(p) -> None:
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_FLAGS))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--N", required=True, type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
 
 
@@ -58,23 +83,20 @@ def _info_args(p) -> None:
 
 def _up_check_args(p) -> None:
     p.add_argument("frame")
-    p.add_argument("--delta", required=True, type=float)
+    p.add_argument("--delta", required=True, type=_fraction(False))
     p.add_argument("--exact", action="store_true",
                    help="exhaustive enumeration instead of random supports")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_count(1), default=1000)
+    p.add_argument("--seed", type=_count(0), default=0)
 
 
 def _encode_args(p) -> None:
     p.add_argument("frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eta", required=True, type=float)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--iters", required=True, type=int)
+    p.add_argument("--eta", required=True, type=_fraction(False))
+    p.add_argument("--delta", required=True, type=_fraction(False))
+    p.add_argument("--iters", required=True, type=_count(1))
     p.add_argument("--exact-last", action="store_true")
-    p.add_argument("--approx-trunc", metavar="NU,TAU",
-                   help="certify the clip against approximate-truncation "
-                        "parameters NU,TAU (inflates eta and the level)")
     p.add_argument("--format", choices=[formats.ASCII, formats.BINARY],
                    default=formats.ASCII)
     p.add_argument("--out", required=True)
@@ -90,7 +112,7 @@ def _decode_args(p) -> None:
 
 def _quantize_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--levels", required=True, type=int)
+    p.add_argument("--levels", required=True, type=_count(2))
     p.add_argument("--out", required=True)
 
 
@@ -98,16 +120,16 @@ def _simulate_args(p) -> None:
     p.add_argument("frame")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--model", required=True, choices=sorted(_MODEL_FLAGS))
-    p.add_argument("--eta", required=True, type=float)
-    p.add_argument("--delta", required=True, type=float)
-    p.add_argument("--iters", type=int, default=8)
-    p.add_argument("--levels", type=int, default=64)
-    p.add_argument("--damage", type=float, default=0.0)
-    p.add_argument("--flips", type=int,
+    p.add_argument("--eta", required=True, type=_fraction(False))
+    p.add_argument("--delta", required=True, type=_fraction(False))
+    p.add_argument("--iters", type=_count(1), default=8)
+    p.add_argument("--levels", type=_count(2), default=64)
+    p.add_argument("--damage", type=_fraction(True), default=0.0)
+    p.add_argument("--flips", type=_count(0),
                    help="bit flips per trial (default: damage fraction of N)")
     p.add_argument("--worst-direction", action="store_true")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_count(1), default=10)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--format", choices=[formats.ASCII, formats.BINARY],
                    default=formats.ASCII)
     p.add_argument("--csv", required=True)
@@ -118,8 +140,6 @@ def _shape(text: str) -> tuple[int, int]:
         n, N = map(int, text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected NxM, got {text!r}") from None
-    if not 1 <= n <= N:
-        raise argparse.ArgumentTypeError(f"need 1 <= N <= M, got {text!r}")
     return n, N
 
 
@@ -129,16 +149,16 @@ def _bench_args(p) -> None:
                    metavar="NxM")
     p.add_argument("--families", nargs="+", default=["orthogonal"],
                    choices=sorted(_FAMILY_FLAGS))
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--passes", type=int)
-    p.add_argument("--trials", type=int, help="inputs per frame")
-    p.add_argument("--levels", type=int, nargs="+")
+    p.add_argument("--delta", type=_fraction(False), default=0.05)
+    p.add_argument("--passes", type=_count(1))
+    p.add_argument("--trials", type=_count(1), help="inputs per frame")
+    p.add_argument("--levels", type=_count(2), nargs="+")
     p.add_argument("--models", nargs="+",
                    choices=["adversarial", "erasure", "quantize"])
-    p.add_argument("--damage", type=float, nargs="+")
+    p.add_argument("--damage", type=_fraction(True), nargs="+")
     p.add_argument("--baseline", action="store_true", default=None,
                    help="add raw-frame rows to quantize cells")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--csv", required=True)
 
 
@@ -153,22 +173,20 @@ def _build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _check_shape(command: str, flag: str, n: int, N: int) -> None:
-    """A family flag's frame shape, refused as a usage error before any
-    work unless 1 <= n <= N, and N <= ``frames.FOURIER_MAX_N`` for a
-    partial Fourier frame."""
-    if not 1 <= n <= N:
-        raise _UsageError(f"kashin {command}: need 1 <= n <= N, got n={n} N={N}")
-    if flag == "fourier" and N > frames.FOURIER_MAX_N:
-        raise _UsageError(f"kashin {command}: partial Fourier frames need "
-                          f"N <= 2^24, got N={N}")
+def _families(command: str, flags, shapes, seed: int) -> list[frames.FrameFamily]:
+    """The frame recipe of each family flag at each (n, N) shape, built
+    before any work so that a shape the family refuses is a usage error."""
+    try:
+        return [frames.FrameFamily(_FAMILY_FLAGS[flag], n, N, seed)
+                for flag in flags for n, N in shapes]
+    except InvalidParams as exc:
+        raise _UsageError(f"kashin {command}: {exc}") from None
 
 
 def _cmd_gen_frame(args) -> int:
-    _check_shape(args.command, args.family, args.n, args.N)
-    frame = frames.generate(
-        frames.FrameFamily(_FAMILY_FLAGS[args.family], args.n, args.N, args.seed)
-    )
+    family, = _families(args.command, [args.family], [(args.n, args.N)],
+                        args.seed)
+    frame = frames.generate(family)
     formats.write_frame(args.out, frame)
     print(f"wrote {args.out}: {args.family} n={frame.n} N={frame.N}")
     print(f"tightness epsilon: {frame.tightness_eps:.6e}")
@@ -200,53 +218,11 @@ def _cmd_up_check(args) -> int:
     return 0
 
 
-def _truncation_from_flag(flag: str | None) -> conversion.TruncationSpec:
-    if flag is None:
-        return conversion.TruncationSpec(mode=conversion.EXACT)
-    parts = flag.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"--approx-trunc expects NU,TAU, got {flag!r}")
-    try:
-        nu, tau = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise _UsageError(f"--approx-trunc expects numbers: {exc}") from exc
-    return conversion.TruncationSpec(
-        mode=conversion.APPROXIMATE, nu=nu, tau=tau
-    )
-
-
-# the rule of each count and fraction flag, on every subcommand that
-# takes the flag
-_FLAG_RULES = {
-    "trials": (lambda value: value >= 1, "be at least 1"),
-    "iters": (lambda value: value >= 1, "be at least 1"),
-    "passes": (lambda value: value >= 1, "be at least 1"),
-    "levels": (lambda value: value >= 2, "be at least 2"),
-    "flips": (lambda value: value >= 0, "be at least 0"),
-    "eta": (lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
-    "delta": (lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
-    "damage": (lambda value: 0.0 <= value < 1.0, "lie in [0, 1)"),
-}
-
-
-def _check_flags(args) -> None:
-    """Each given value of a flag in :data:`_FLAG_RULES` (each entry of a
-    list-valued one) must satisfy the flag's rule."""
-    for name, (holds, rule) in _FLAG_RULES.items():
-        values = getattr(args, name, None)
-        for value in values if isinstance(values, list) else [values]:
-            if value is not None and not holds(value):
-                raise _UsageError(
-                    f"kashin {args.command}: argument --{name}: must {rule}, "
-                    f"got {value}"
-                )
-
-
-def _conversion_config(frame, eta, delta, iters, exact_last,
-                       trunc_flag) -> conversion.ConversionConfig:
+def _conversion_config(frame, eta, delta, iters,
+                       exact_last) -> conversion.ConversionConfig:
     return conversion.ConversionConfig(
         up=uncertainty.UPParams(eta=eta, delta=delta),
-        truncation=_truncation_from_flag(trunc_flag),
+        truncation=conversion.TruncationSpec(),
         iterations=iters,
         exact_last_iteration=exact_last,
         frame_epsilon=frame.tightness_eps + 1e-12,
@@ -257,8 +233,7 @@ def _cmd_encode(args) -> int:
     frame = formats.read_frame(args.frame)
     x = formats.read_vector(args.infile, args.format)
     cfg = _conversion_config(
-        frame, args.eta, args.delta, args.iters, args.exact_last,
-        args.approx_trunc,
+        frame, args.eta, args.delta, args.iters, args.exact_last
     )
     rep = conversion.kashin_encode(frame, x, cfg)
     formats.write_representation(args.out, rep)
@@ -305,9 +280,7 @@ def _cmd_simulate(args) -> int:
     frame = formats.read_frame(args.frame)
     x = formats.read_vector(args.infile, args.format)
     tag = _MODEL_FLAGS[args.model]
-    cfg = _conversion_config(
-        frame, args.eta, args.delta, args.iters, False, None
-    )
+    cfg = _conversion_config(frame, args.eta, args.delta, args.iters, False)
     rep = conversion.kashin_encode(frame, x, cfg)
     spec = quantize.QuantizerSpec.from_representation(rep, args.levels)
     flips = args.flips
@@ -382,18 +355,14 @@ def _cmd_bench(args) -> int:
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    for flag in args.families:
-        for n, N in args.shapes:
-            _check_shape(args.command, flag, n, N)
     rows = []
-    for flag in args.families:
-        for n, N in args.shapes:
-            family = frames.FrameFamily(_FAMILY_FLAGS[flag], n, N, args.seed)
-            print(f"{family.tag} n={n} N={N} delta={args.delta} passes={args.passes}")
-            try:
-                rows += sweep(family, args)
-            except InvalidConfig as exc:  # eta' >= 1: no contraction
-                print(f"  skipped: {exc}")
+    for family in _families(args.command, args.families, args.shapes, args.seed):
+        print(f"{family.tag} n={family.n} N={family.N} delta={args.delta} "
+              f"passes={args.passes}")
+        try:
+            rows += sweep(family, args)
+        except InvalidConfig as exc:  # eta' >= 1: no contraction
+            print(f"  skipped: {exc}")
     formats.write_experiment_csv(args.csv, rows)
     violations = sum(not r.bound_ok for r in rows)
     print(f"suite: {args.suite}")
@@ -432,7 +401,6 @@ def run(argv) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        _check_flags(args)
         return _COMMANDS[args.command][0](args)
     except (_UsageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,7 +123,9 @@ class FrameMatrix:
 
 @dataclass(frozen=True)
 class FrameFamily:
-    """Recipe (family tag, shape, seed) for a reproducible frame draw."""
+    """Recipe (family tag, shape, seed) for a reproducible frame draw.
+    A shape outside 1 <= n <= N, or a partial Fourier N above
+    ``FOURIER_MAX_N`` = 2^24, raises :class:`InvalidParams`."""
 
     tag: str
     n: int
@@ -135,6 +137,8 @@ class FrameFamily:
             raise InvalidParams(f"unknown family tag {self.tag!r}")
         object.__setattr__(self, "n", linalg.count(self.n, "n", 1))
         object.__setattr__(self, "N", linalg.count(self.N, "N", self.n))
+        if self.tag == PARTIAL_FOURIER:
+            _check_fourier_size(self.N)
         object.__setattr__(self, "seed", linalg.count(self.seed, "seed", 0))
 
 

@@ -122,11 +122,16 @@ class TestExitCodes:
     def test_contract_violations_exit_two(self, tmp_path, frame_file):
         vec, _ = _write_input(tmp_path, 8)
         out = str(tmp_path / "c.kcof")
-        # clipping losses stack with eta until contraction is impossible
+        gaussian = str(tmp_path / "g.kfrm")
         assert cli.run([
-            "encode", str(frame_file), "--in", str(vec), "--eta", "0.8",
-            "--delta", "0.125", "--iters", "2", "--approx-trunc", "0.9,0.5",
-            "--out", out,
+            "gen-frame", "--family", "gaussian", "--n", "8", "--N", "16",
+            "--out", gaussian,
+        ]) == 0
+        # the frame's tightness defect stacks with eta until contraction is
+        # impossible
+        assert cli.run([
+            "encode", gaussian, "--in", str(vec), "--eta", "0.8",
+            "--delta", "0.125", "--iters", "2", "--out", out,
         ]) == 2
         # support fraction too small for even one coordinate
         assert cli.run([
@@ -145,6 +150,9 @@ class TestExitCodes:
         (["encode", "F", "--in", "X", "--eta", "0.97", "--delta", "0.125",
           "--iters", "0", "--out", "OUT"],
          "argument --iters: must be at least 1, got 0"),
+        (["encode", "F", "--in", "X", "--eta", "0.97", "--delta", "0.125",
+          "--iters", "2.0", "--out", "OUT"],
+         "argument --iters: invalid count value: '2.0'"),
         (["encode", "F", "--in", "X", "--eta", "0.97", "--delta", "1.5",
           "--iters", "2", "--out", "OUT"],
          "argument --delta: must lie in (0, 1), got 1.5"),
@@ -173,7 +181,7 @@ class TestExitCodes:
          "argument --eta: must lie in (0, 1), got 0.0"),
         (["gen-frame", "--family", "orthogonal", "--n", "0", "--N", "8",
           "--out", "OUT"],
-         "need 1 <= n <= N, got n=0 N=8"),
+         "n must be a whole number >= 1, got 0"),
         (["gen-frame", "--family", "fourier", "--n", "8", "--N", "33554432",
           "--out", "OUT"],
          "partial Fourier frames need N <= 2^24, got N=33554432"),
@@ -220,13 +228,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_malformed_approx_trunc_flag(self, tmp_path, frame_file):
+    @pytest.mark.parametrize("argv", [
+        ["gen-frame", "--family", "orthogonal", "--n", "8", "--N", "16",
+         "--out", "OUT"],
+        ["up-check", "F", "--delta", "0.125"],
+        ["simulate", "F", "--in", "X", "--model", "erasure", "--eta", "0.97",
+         "--delta", "0.125", "--csv", "OUT"],
+        ["bench", "--suite", "decay", "--csv", "OUT"],
+    ])
+    def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys,
+                                              frame_file, argv):
         vec, _ = _write_input(tmp_path, 8)
-        assert cli.run([
-            "encode", str(frame_file), "--in", str(vec), "--eta", "0.9",
-            "--delta", "0.125", "--iters", "1", "--approx-trunc", "0.9",
-            "--out", str(tmp_path / "c.kcof"),
-        ]) == 1
+        capsys.readouterr()
+        out = tmp_path / "out"
+        files = {"F": frame_file, "X": vec, "OUT": out}
+        assert cli.run([str(files.get(arg, arg)) for arg in argv]
+                       + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: kashin {argv[0]}: argument --seed: "
+                                "must be at least 0, got -1\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    # flags whose values argparse reads as plain numbers, each with the
+    # reason its rule is checked elsewhere
+    UNTYPED = {
+        "gen-frame --n": "1 <= n <= N spans two flags; FrameFamily checks it",
+        "gen-frame --N": "1 <= n <= N spans two flags; FrameFamily checks it",
+    }
+
+    def test_every_numeric_flag_checks_its_rule_as_it_parses(self):
+        untyped = set()
+        for name, (_, _, add_arguments) in cli._COMMANDS.items():
+            parser = argparse.ArgumentParser(add_help=False)
+            add_arguments(parser)
+            untyped |= {f"{name} {flag}" for action in parser._actions
+                        if action.type in (int, float)
+                        for flag in action.option_strings}
+        assert untyped == set(self.UNTYPED)
 
 
 class TestFrameCommands:
@@ -776,9 +815,9 @@ class TestBench:
         (["quantization", "--models", "erasure", "--damage", "-0.1"],
          "argument --damage: must lie in [0, 1), got -0.1"),
         (["decay", "--shapes", "64x32"],
-         "argument --shapes: need 1 <= N <= M, got '64x32'"),
+         "N must be a whole number >= 64, got 32"),
         (["decay", "--shapes", "0x32"],
-         "argument --shapes: need 1 <= N <= M, got '0x32'"),
+         "n must be a whole number >= 1, got 0"),
     ])
     def test_bad_sweep_flag_is_a_usage_error(self, tmp_path, capsys, flags,
                                              message):

@@ -404,6 +404,12 @@ class TestInputContract:
                                kind=frames.PARTIAL_FOURIER, omega=np.array([3]))
         assert f.N == 1 << 24
 
+    def test_fourier_family_above_the_cap_is_refused(self):
+        with pytest.raises(InvalidParams, match=r"N <= 2\^24"):
+            frames.FrameFamily(frames.PARTIAL_FOURIER, 1, 2**25, 0)
+        # the cap is the Fourier family's alone
+        assert frames.FrameFamily(frames.GAUSSIAN, 1, 2**25, 0).N == 2**25
+
     @pytest.mark.parametrize("mode", [frames.EXACT_N, frames.BERNOULLI_SELECTORS])
     def test_generator_refuses_n_above_the_cap_before_the_draw(self, mode):
         done = run_with_memory_cap(
